@@ -39,7 +39,6 @@ from .isoclasses import (
     IsoClassRecord,
     are_isomorphic,
     canonical_form,
-    records_to_json,
     representation_system,
     strip_isolated,
     table7,

@@ -52,7 +52,7 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "csv", "json"), default="text")
     common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallelism degree; results never depend on it")
+                        help="accepted and ignored: every command runs in one process")
     parser = argparse.ArgumentParser(
         prog="downsets",
         description="count and decompose down-sets of finite posets",

@@ -10,9 +10,10 @@ joined with a down-set of P - down(x).  Both branches are disjoint and
 exhaustive, so every down-set is produced exactly once.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .errors import CapacityError, NotADownSet, TraceMismatch
+from .errors import CapacityError, DomainError, NotADownSet, TraceMismatch
 from .poset import Poset, _bits, _popcount
 
 DEFAULT_ENUM_LIMIT = 1 << 24
@@ -31,13 +32,7 @@ class DownSetFamily:
         return iter(self.members)
 
     def index_of(self, mask):
-        lo, hi = 0, len(self.members)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.members[mid] < mask:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect_left(self.members, mask)
         if lo == len(self.members) or self.members[lo] != mask:
             raise KeyError("0x%x is not a member" % mask)
         return lo
@@ -167,6 +162,8 @@ def phi_forward(p, m_mask, n_mask, d_mask):
 def phi_inverse(p, m_mask, n_mask, d_residual):
     """Inverse map: residual down-set back to a down-set of p with trace N."""
     removed = p.updown(m_mask, n_mask)
+    if d_residual < 0 or d_residual & ~p.carrier:
+        raise DomainError("residual down-set %#x is not within the carrier" % d_residual)
     if d_residual & removed:
         raise NotADownSet("residual down-set meets the removed region")
     rest = p.carrier & ~removed
@@ -183,7 +180,8 @@ def chain_product_count(n, q, limit=DEFAULT_ENUM_LIMIT):
     q, so the count is the n-th containment-power of D(q): start from all-ones
     and repeatedly replace f(N) with the sum of f over down-sets below N.
     """
-    assert n >= 0
+    if n < 0:
+        raise DomainError("negative chain length %d" % n)
     if n == 0:
         return 1
     fam = enumerate_downsets(q, limit=limit)
@@ -232,7 +230,8 @@ def _containment_counts_bulk(members):
     'numpy-backed pair scan for big families (members must fit in 64 bits)'
     import numpy as np
 
-    assert members[-1] < 1 << 63
+    if members[-1] >= 1 << 63:
+        raise CapacityError("bulk containment counts need members below 2**63")
     arr = np.asarray(members, dtype=np.int64)
     below = np.zeros(len(arr), dtype=np.int64)
     above = np.zeros(len(arr), dtype=np.int64)

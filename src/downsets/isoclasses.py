@@ -9,9 +9,14 @@ automorphism count.  Among all discrete partitions reached this way, the
 lexicographically least packed relation matrix is the certificate.  The
 certificate of a poset is the sorted tuple of its component certificates, so
 equal certificates mean isomorphic posets.
+
+The catalogue does not certify every down-set.  Points of a region of the
+subset lattice carry their binary words as labels, and swapping two
+coordinates of every word is often an order automorphism.  Automorphisms
+preserve the isomorphism type, so each orbit of the group they generate lies
+inside one class, and one canonical form per orbit decides which orbits merge.
 """
 
-import json
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -254,6 +259,59 @@ class IsoClassRecord:
         return (int(u), self.delta, c1, c2, c3, suffix)
 
 
+def coordinate_automorphisms(p):
+    """Order automorphisms of p that swap two adjacent coordinates of the
+    point labels, as point permutations (image of point i at index i).
+
+    Labels must be distinct binary words of one length, as boolean() writes
+    them and induced() keeps them; otherwise the list is empty.  A swap is
+    kept only when it maps the labels onto themselves and every up row onto
+    the up row of its image, so at most one candidate per coordinate is
+    checked and nothing else is searched.
+    """
+    labels = p.labels
+    if labels is None or len(set(labels)) != p.n or not all(
+        isinstance(lab, str) and lab and not lab.strip("01") and len(lab) == len(labels[0])
+        for lab in labels
+    ):
+        return []
+    words = [int(lab, 2) for lab in labels]
+    index = {w: i for i, w in enumerate(words)}
+    out = []
+    for j in range(len(labels[0]) - 1 if labels else 0):
+        perm = tuple(index.get(w ^ (3 << j) if ((w >> j) ^ (w >> (j + 1))) & 1 else w)
+                     for w in words)
+        if None not in perm and all(_permute(p.up[i], perm) == p.up[perm[i]] for i in range(p.n)):
+            out.append(perm)
+    return out
+
+
+def _permute(mask, perm):
+    'image of a point set under a point permutation'
+    out = 0
+    for i in _bits(mask):
+        out |= 1 << perm[i]
+    return out
+
+
+def _orbits(masks, perms):
+    """Orbits of the group generated by perms on masks, which it must map
+    onto themselves; each orbit is listed from its least member."""
+    seen = set()
+    for start in sorted(masks):
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for mask in orbit:
+            for perm in perms:
+                image = _permute(mask, perm)
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        yield orbit
+
+
 def representation_system(q23):
     """Classify every down-set of the two-level poset.
 
@@ -262,17 +320,22 @@ def representation_system(q23):
     order.  classes_all: one (record index, isolated count) pair per class
     of arbitrary down-sets, since every down-set is a core plus free lower
     points and the pair determines the class.
+
+    The cores are split into orbits under coordinate_automorphisms(q23) and
+    one canonical form per orbit merges the orbits of a class; without such
+    automorphisms every core is its own orbit.
     """
     fam = enumerate_downsets(q23)
     lowers_all = q23.minimal_points()
-    by_cert = {}
+    cores = []
     for mask in fam.members:
         uppers, _ = _upper_lower(q23, mask)
-        core = q23.down_closure(uppers) if uppers else 0
-        if core != mask:
-            continue  # has isolated lower points; its core is listed anyway
-        cert = canonical_form(q23.induced(mask)).certificate
-        by_cert.setdefault(cert, []).append(mask)
+        if mask == (q23.down_closure(uppers) if uppers else 0):
+            cores.append(mask)  # down-sets with isolated lower points extend a core
+    by_cert = {}
+    for orbit in _orbits(cores, coordinate_automorphisms(q23)):
+        cert = canonical_form(q23.induced(orbit[0])).certificate
+        by_cert.setdefault(cert, []).extend(orbit)
     records = []
     for members in by_cert.values():
         members.sort()
@@ -301,22 +364,3 @@ def table7(split, records):
     tables = build_T0_T1(split)
     return [replace(rec, **class_parameters(split, rec, tables)) for rec in records]
 
-
-def records_to_json(records):
-    'JSON export of the catalogue'
-    return json.dumps(
-        [
-            {
-                "code": r.type_code,
-                "representative": r.representative,
-                "iota": r.iota,
-                "delta": r.delta,
-                "t": r.t_val,
-                "sigma": r.sigma_val,
-                "downsets_below": r.downclosure_count,
-                "inner_sum": r.inner_sum,
-            }
-            for r in records
-        ],
-        indent=2,
-    )

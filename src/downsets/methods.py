@@ -504,8 +504,10 @@ def sigma_fast(split, rep, a_mask, precomp):
     upper-free inner terms, the containment count covers every term's +1,
     and the per-upper groups, qualifying pairs, triples and quadruples
     supply the only inner terms with positive e and upper points."""
-    assert rep == precomp.rep
-    assert a_mask & ~precomp.free == 0, "A must consist of free lower points"
+    if rep != precomp.rep:
+        raise DomainError("precomputation belongs to another representative")
+    if a_mask & ~precomp.free:
+        raise DomainError("A must consist of free lower points")
     ap = precomp.covered | a_mask
     total = precomp.t1[_lower_index(split, ap)]
     total += (1 << _popcount(a_mask)) * precomp.down_count - (1 << _popcount(ap))
@@ -577,7 +579,8 @@ def lemma1_check(n, q, n_mask):
     """Residual law of the bottom-copy decomposition of chain(n) x q: for a
     down-set N of the bottom copy, removing up(copy - N) | down(N) must
     leave chain(n-1) x (q restricted to N), point for point."""
-    assert n >= 1
+    if n < 1:
+        raise DomainError("chain length must be at least 1, got %d" % n)
     if not q.is_downset(n_mask):
         raise NotADownSet("N must be a down-set of the bottom copy")
     p = product(chain(n), q)

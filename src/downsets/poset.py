@@ -7,23 +7,20 @@ AND operations.  The carrier is capped at MAX_POINTS so masks stay a couple of
 machine words wide.
 """
 
-from .errors import CapacityError, CycleError, NotADownSet, ParseError
+from .errors import CapacityError, CycleError, DomainError, NotADownSet, ParseError
 
 MAX_POINTS = 128
 
-
-def _popcount(mask):
-    return bin(mask).count("1")
+# number of set bits of a non-negative mask
+_popcount = int.bit_count
 
 
 def _bits(mask):
-    'iterate over set bit positions, ascending'
-    i = 0
+    'iterate over set bit positions, ascending; mask must be non-negative'
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Poset:
@@ -71,9 +68,6 @@ class Poset:
     def __eq__(self, other):
         'equality is by relation matrix, labels and origin do not matter'
         return isinstance(other, Poset) and self.n == other.n and self.up == other.up
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash((self.n, self.up))
@@ -135,11 +129,13 @@ class Poset:
     def minimal_points(self, mask=None):
         if mask is None:
             mask = self.carrier
+        self._check(mask)
         return sum(1 << i for i in _bits(mask) if not (self.down[i] & mask & ~(1 << i)))
 
     def maximal_points(self, mask=None):
         if mask is None:
             mask = self.carrier
+        self._check(mask)
         return sum(1 << i for i in _bits(mask) if not (self.up[i] & mask & ~(1 << i)))
 
     def covers(self):
@@ -184,7 +180,7 @@ class Poset:
     def to_parent_mask(self, mask):
         'translate a local point set into the indexing of the parent poset'
         self._check(mask)
-        assert self.parent_map is not None, "poset has no parent"
+        self._require_parent()
         out = 0
         for i in _bits(mask):
             out |= 1 << self.parent_map[i]
@@ -196,7 +192,9 @@ class Poset:
         Parent points outside this carrier are silently dropped, so the call
         doubles as restriction onto the carrier.
         """
-        assert self.parent_map is not None, "poset has no parent"
+        self._require_parent()
+        if mask < 0:
+            raise DomainError("parent point set %d is negative" % mask)
         pos = self._positions()
         out = 0
         for p in _bits(mask):
@@ -204,6 +202,10 @@ class Poset:
             if k is not None:
                 out |= 1 << k
         return out
+
+    def _require_parent(self):
+        if self.parent_map is None:
+            raise DomainError("poset has no parent")
 
     def _positions(self):
         pos = self._parent_pos
@@ -277,13 +279,15 @@ def from_covers(n, covers, labels=None):
 
 def chain(c):
     'total order 0 < 1 < ... < c-1'
-    assert c >= 0
+    if c < 0:
+        raise DomainError("negative chain length %d" % c)
     return from_covers(c, [(i, i + 1) for i in range(c - 1)])
 
 
 def antichain(a):
     'a pairwise-incomparable points'
-    assert a >= 0
+    if a < 0:
+        raise DomainError("negative antichain size %d" % a)
     return from_covers(a, [])
 
 
@@ -328,10 +332,32 @@ def direct_sum(p, q):
 # '#' starts a comment, blank lines are skipped.
 
 
+def _indices(tokens, lineno, kind):
+    'point indices written in ASCII digits, else a ParseError for the line'
+    if all(tok.isascii() and tok.isdigit() for tok in tokens):
+        try:
+            return [int(tok) for tok in tokens]
+        except ValueError:  # more digits than int() accepts
+            pass
+    raise ParseError("line %d: malformed %s line" % (lineno, kind))
+
+
+def _closing_cover(n, covers):
+    'index of the first cover that closes a directed cycle with those before it'
+    reach = [1 << i for i in range(n)]  # reach[i]: points reachable from i
+    for k, (lo, hi) in enumerate(covers):
+        if (reach[hi] >> lo) & 1:
+            return k
+        for x in range(n):
+            if (reach[x] >> lo) & 1:
+                reach[x] |= reach[hi]
+
+
 def poset_from_text(text):
     'parse the poset text format'
     n = None
     covers = []
+    cover_lines = []
     labels = {}
     saw_header = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -348,27 +374,28 @@ def poset_from_text(text):
         if kind == "points":
             if n is not None:
                 raise ParseError("line %d: duplicate points line" % lineno)
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2:
                 raise ParseError("line %d: malformed points line" % lineno)
-            n = int(parts[1])
+            (n,) = _indices(parts[1:], lineno, kind)
         elif kind == "label":
             if n is None:
                 raise ParseError("line %d: label before points" % lineno)
-            if len(parts) < 3 or not parts[1].isdigit():
+            if len(parts) < 3:
                 raise ParseError("line %d: malformed label line" % lineno)
-            i = int(parts[1])
+            (i,) = _indices(parts[1:2], lineno, kind)
             if i >= n:
                 raise ParseError("line %d: label index %d out of range" % (lineno, i))
             labels[i] = line.split(None, 2)[2]
         elif kind == "cover":
             if n is None:
                 raise ParseError("line %d: cover before points" % lineno)
-            if len(parts) != 3 or not parts[1].isdigit() or not parts[2].isdigit():
+            if len(parts) != 3:
                 raise ParseError("line %d: malformed cover line" % lineno)
-            i, j = int(parts[1]), int(parts[2])
+            i, j = _indices(parts[1:], lineno, kind)
             if i >= n or j >= n:
                 raise ParseError("line %d: cover (%d, %d) out of range" % (lineno, i, j))
             covers.append((i, j))
+            cover_lines.append(lineno)
         else:
             raise ParseError("line %d: unknown construct %r" % (lineno, kind))
     if not saw_header:
@@ -378,7 +405,13 @@ def poset_from_text(text):
     lab = None
     if labels:
         lab = tuple(labels.get(i) for i in range(n))
-    return from_covers(n, covers, labels=lab)
+    try:
+        return from_covers(n, covers, labels=lab)
+    except CycleError:
+        k = _closing_cover(n, covers)
+        raise ParseError(
+            "line %d: cover (%d, %d) closes a directed cycle" % (cover_lines[k], *covers[k])
+        ) from None
 
 
 def poset_to_text(p):

@@ -128,6 +128,31 @@ def test_count_malformed_file(tmp_path, capsys):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("text, line", [
+    ("poset v1\npoints 3\ncover 0 1\ncover 1 2\ncover 2 0\n", 5),
+    ("poset v1\npoints 2\ncover 0 1\ncover 1 1\n", 4),
+], ids=["cycle", "self-loop"])
+def test_count_cyclic_file_is_a_parse_error(tmp_path, capsys, text, line):
+    path = tmp_path / "cyclic.poset"
+    path.write_text(text)
+    code, out, err = run(["count", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: line %d: cover" % line)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("poset v1\npoints \u00b2\n", 2),
+    ("poset v1\npoints 2\nlabel \u0661 x\n", 3),
+    ("poset v1\npoints 2\ncover 0 \u0661\n", 3),
+], ids=["points", "label", "cover"])
+def test_count_non_ascii_digits_are_a_parse_error(tmp_path, capsys, text, line):
+    path = tmp_path / "digits.poset"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(["count", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: line %d: malformed" % line)
+
+
 # -- dedekind --------------------------------------------------------------------
 
 

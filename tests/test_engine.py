@@ -4,6 +4,7 @@ import pytest
 
 from downsets import (
     CapacityError,
+    DomainError,
     NotADownSet,
     TraceMismatch,
     antichain,
@@ -106,6 +107,14 @@ def test_phi_inverse_rejects_overlap_with_removed_zone():
         phi_inverse(p, 0b001, 0b001, 0b001)
 
 
+def test_phi_inverse_rejects_masks_outside_the_carrier():
+    p = chain(3)
+    with pytest.raises(DomainError):
+        phi_inverse(p, 0, 0, -1)
+    with pytest.raises(DomainError):
+        phi_inverse(p, 0, 0, 0b1000)
+
+
 def test_containment_counts_small():
     fam = enumerate_downsets(boolean(2).lattice)
     below, above = containment_counts(fam)
@@ -125,6 +134,13 @@ def test_containment_counts_pure_python_and_bulk_agree():
     assert list(above) == list(na)
 
 
+def test_bulk_containment_counts_reject_members_past_63_bits():
+    from downsets.engine import _containment_counts_bulk
+
+    with pytest.raises(CapacityError):
+        _containment_counts_bulk((0, 1 << 63))
+
+
 def test_chain_product_count_against_direct():
     rng = random.Random(11)
     for _ in range(25):
@@ -138,6 +154,8 @@ def test_chain_product_count_facts():
     q = boolean(2).lattice
     assert chain_product_count(1, q) == 6
     assert chain_product_count(2, q) == 20  # sum of below-counts
+    with pytest.raises(DomainError):
+        chain_product_count(-1, q)
 
 
 def test_random_posets_three_way_agreement():

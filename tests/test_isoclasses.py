@@ -4,18 +4,24 @@ import pytest
 
 from downsets import (
     CapacityError,
+    IsoClassRecord,
+    Poset,
     antichain,
     are_isomorphic,
     boolean,
     canonical_form,
     chain,
     direct_sum,
+    enumerate_downsets,
     from_covers,
     product,
+    representation_system,
     strip_isolated,
     sub_poset,
     type_code,
 )
+from downsets.isoclasses import coordinate_automorphisms
+from downsets.poset import popcount
 from conftest import random_poset
 from frozen import CATALOGUE
 
@@ -139,3 +145,80 @@ def test_product_poset_isomorphic_to_relabeled_product():
     p = product(chain(2), antichain(3))
     q = shuffled_copy(rng, p)
     assert are_isomorphic(p, q)
+
+
+# -- the orbit-built catalogue against one certificate per core ----------------
+
+
+def catalogue_by_certificates(q23):
+    'the catalogue records with one canonical form per isolated-free down-set'
+    lowers = q23.minimal_points()
+    by_cert = {}
+    for mask in enumerate_downsets(q23).members:
+        if q23.down_closure(mask & ~lowers) != mask:
+            continue
+        cert = canonical_form(q23.induced(mask)).certificate
+        by_cert.setdefault(cert, []).append(mask)
+    records = []
+    for members in by_cert.values():
+        rep = min(members)
+        free = lowers & ~q23.down_closure(rep)
+        records.append(IsoClassRecord(
+            representative=rep, type_code=type_code(q23, rep), iota=len(members),
+            delta=popcount(free), delta_mask=free, members=tuple(sorted(members)),
+        ))
+    return sorted(records, key=IsoClassRecord.sort_key)
+
+
+def middle5():
+    return sub_poset(boolean(5), "middle")
+
+
+@pytest.mark.parametrize("which", ["q23", "middle5"])
+def test_orbit_catalogue_equals_certificate_catalogue(split, which):
+    q23 = split.q23 if which == "q23" else middle5()
+    _, records = representation_system(q23)
+    assert len(records) == 34
+    assert records == catalogue_by_certificates(q23)
+
+
+def group_order(perms, n):
+    'size of the permutation group generated by perms'
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        g = frontier.pop()
+        for s in perms:
+            h = tuple(s[g[i]] for i in range(n))
+            if h not in group:
+                group.add(h)
+                frontier.append(h)
+    return len(group)
+
+
+@pytest.mark.parametrize("which", ["q23", "middle5"])
+def test_coordinate_swaps_are_order_automorphisms(split, which):
+    p = split.q23 if which == "q23" else middle5()
+    perms = coordinate_automorphisms(p)
+    for perm in perms:
+        assert sorted(perm) == list(range(p.n))
+        for i in range(p.n):
+            for j in range(p.n):
+                assert p.leq(i, j) == p.leq(perm[i], perm[j])
+    assert group_order(perms, p.n) == 120
+
+
+def test_unlabelled_copy_takes_the_trivial_group(split):
+    bare = Poset(split.q23.up)
+    assert coordinate_automorphisms(bare) == []
+    _, records = representation_system(bare)
+    _, labelled = representation_system(split.q23)
+    assert records == labelled
+
+
+def test_swaps_that_break_the_order_are_dropped(split):
+    'labels moved to the wrong points: the label swaps are no longer automorphisms'
+    labels = list(split.q23.labels)
+    random.Random(5).shuffle(labels)
+    assert coordinate_automorphisms(Poset(split.q23.up, labels=labels)) == []

@@ -257,8 +257,10 @@ def test_sigma_fast_rejects_non_free_points(split, tables, catalogue):
     rec = next(r for r in records if r.type_code == "1-300")
     pre = build_sigma_precomp(split, rec.representative, tables[1])
     covered_bit = pre.covered & -pre.covered
-    with pytest.raises(AssertionError):
+    with pytest.raises(DomainError):
         sigma_fast(split, rec.representative, covered_bit, pre)
+    with pytest.raises(DomainError):
+        sigma_fast(split, rec.representative ^ covered_bit, 0, pre)
 
 
 def test_class_parameters_are_label_independent(split, tables, catalogue):
@@ -284,6 +286,8 @@ def test_residual_law_on_the_diamond():
         assert lemma1_check(3, q, n_mask)
     with pytest.raises(NotADownSet):
         lemma1_check(2, q, 0b1000)
+    with pytest.raises(DomainError):
+        lemma1_check(0, q, 0b0001)
 
 
 def test_residual_law_on_random_posets():

@@ -2,6 +2,7 @@ import pytest
 
 from downsets import (
     CycleError,
+    DomainError,
     ParseError,
     Poset,
     antichain,
@@ -73,6 +74,14 @@ def test_minimal_and_maximal():
     assert p.minimal_points(0b0110) == 0b0110
 
 
+def test_minimal_and_maximal_reject_negative_masks():
+    p = diamond()
+    with pytest.raises(IndexError):
+        p.minimal_points(-1)
+    with pytest.raises(IndexError):
+        p.maximal_points(-1)
+
+
 def test_covers_is_transitive_reduction():
     p = from_covers(3, [(0, 1), (1, 2), (0, 2)])
     assert p.covers() == [(0, 1), (1, 2)]
@@ -101,6 +110,27 @@ def test_induced_keeps_relation_and_backmap():
     assert sub.leq(0, 2) and sub.leq(1, 2) and not sub.leq(2, 0)
     assert sub.to_parent_mask(0b101) == 0b1001
     assert sub.from_parent_mask(0b1111) == 0b111
+
+
+def test_parent_masks_need_a_parent():
+    p = diamond()
+    with pytest.raises(DomainError):
+        p.to_parent_mask(0b1)
+    with pytest.raises(DomainError):
+        p.from_parent_mask(0b1)
+
+
+def test_from_parent_mask_rejects_negative_masks():
+    sub = diamond().induced(0b1011)
+    with pytest.raises(DomainError):
+        sub.from_parent_mask(-1)
+
+
+def test_negative_chain_and_antichain_sizes():
+    with pytest.raises(DomainError):
+        chain(-1)
+    with pytest.raises(DomainError):
+        antichain(-2)
 
 
 def test_remove_complements_induced():
