@@ -329,9 +329,10 @@ def representation_system(q23):
     lowers_all = q23.minimal_points()
     cores = []
     for mask in fam.members:
+        # a down-set with isolated lower points is a core plus free points
         uppers, _ = _upper_lower(q23, mask)
         if mask == (q23.down_closure(uppers) if uppers else 0):
-            cores.append(mask)  # down-sets with isolated lower points extend a core
+            cores.append(mask)
     by_cert = {}
     for orbit in _orbits(cores, coordinate_automorphisms(q23)):
         cert = canonical_form(q23.induced(orbit[0])).certificate
