@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 
 from .engine import enumerate_downsets, containment_counts
-from .errors import CapacityError, DomainError, MissingInput
+from .errors import CapacityError, DomainError, MissingInput, StructureError
 from .poset import MAX_POINTS, Poset, _bits, _popcount
 
 REGIONS = ("full", "upper", "lower", "middle")
@@ -135,38 +135,25 @@ def dedekind_standard(n):
         raise DomainError("pairwise summation needs at least 2 atoms")
     if n > 7:
         raise CapacityError("pairwise summation is capped at 7 atoms")
+    import numpy as np
+
     t0 = time.perf_counter()
     ctx = boolean(n - 2)
     fam = enumerate_downsets(ctx.lattice)
     below, above = containment_counts(fam)
     k = len(fam.members)
-    if k > 512:
-        value = _standard_sum_bulk(fam.members, below, above)
-    else:
-        members = fam.members
-        value = 0
-        for i in range(k):
-            mi = members[i]
-            for j in range(i, k):
-                term = below[fam.index_of(mi & members[j])] * above[fam.index_of(mi | members[j])]
-                value += term if i == j else 2 * term
-    return StandardRun(n=n, value=value, summands=k * (k + 1) // 2, wall_time=time.perf_counter() - t0)
-
-
-def _standard_sum_bulk(members, below, above):
-    import numpy as np
-
-    arr = np.asarray(members, dtype=np.int64)
+    arr = np.asarray(fam.members, dtype=np.int64)
     blw = np.asarray(below, dtype=np.int64)
     abv = np.asarray(above, dtype=np.int64)
-    total = 0
-    for i in range(len(arr)):
+    value = 0
+    for i in range(k):
+        # row i of the upper triangle: the pair (i, i) once, the rest twice
         tail = arr[i:]
         ia = np.searchsorted(arr, arr[i] & tail)
         io = np.searchsorted(arr, arr[i] | tail)
         row = blw[ia] * abv[io]
-        total += 2 * int(row.sum()) - int(row[0])
-    return total
+        value += 2 * int(row.sum()) - int(row[0])
+    return StandardRun(n=n, value=value, summands=k * (k + 1) // 2, wall_time=time.perf_counter() - t0)
 
 
 def theorem2_residual_shape(n, n_mask):
@@ -187,10 +174,12 @@ def theorem2_residual_shape(n, n_mask):
     k = _popcount(n_mask)
     residual = ctx.lattice.remove(ctx.lattice.updown(atoms, n_mask))
     if k == 0:
-        assert residual.n == 1 and residual.parent_map == (0,)
+        if residual.n != 1 or residual.parent_map != (0,):
+            raise StructureError("residual of the empty trace is not the bottom point")
         return "singleton-bottom"
     if k == 1:
-        assert residual.n == 0
+        if residual.n != 0:
+            raise StructureError("residual of a one-atom trace is not empty")
         return "empty"
     # positions of the chosen atoms, ascending; each surviving word is
     # supported on them and has at least 2 ones
@@ -198,15 +187,18 @@ def theorem2_residual_shape(n, n_mask):
     support = sum(1 << d for d in digits)
     compress = {}
     for local, word in enumerate(residual.parent_map):
-        assert word & ~support == 0, "survivor outside chosen atoms"
+        if word & ~support:
+            raise StructureError("survivor outside chosen atoms")
         compress[local] = sum(1 << pos for pos, d in enumerate(digits) if (word >> d) & 1)
     reference = sub_poset(boolean(k), "upper")
     ref_pos = {word: i for i, word in enumerate(reference.parent_map)}
-    perm = [ref_pos[compress[i]] for i in range(residual.n)]
-    assert sorted(perm) == list(range(reference.n))
+    perm = [ref_pos.get(compress[i]) for i in range(residual.n)]
+    if None in perm or sorted(perm) != list(range(reference.n)):
+        raise StructureError("residual points do not match the expected upper region")
     for i in range(residual.n):
         mapped = 0
         for j in _bits(residual.up[i]):
             mapped |= 1 << perm[j]
-        assert mapped == reference.up[perm[i]], "residual is not the expected upper region"
+        if mapped != reference.up[perm[i]]:
+            raise StructureError("residual is not the expected upper region")
     return "upper(%d)" % k

@@ -10,7 +10,6 @@ joined with a down-set of P - down(x).  Both branches are disjoint and
 exhaustive, so every down-set is produced exactly once.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import CapacityError, DomainError, NotADownSet, TraceMismatch
@@ -30,12 +29,6 @@ class DownSetFamily:
 
     def __iter__(self):
         return iter(self.members)
-
-    def index_of(self, mask):
-        lo = bisect_left(self.members, mask)
-        if lo == len(self.members) or self.members[lo] != mask:
-            raise KeyError("0x%x is not a member" % mask)
-        return lo
 
 
 @dataclass
@@ -191,54 +184,41 @@ def chain_product_count(n, q, limit=DEFAULT_ENUM_LIMIT):
         # second containment power needs only the below counts
         below_counts, _ = containment_counts(fam)
         return sum(below_counts)
-    below = _below_index_masks(fam.members)
+    below = []
+    for _, inside in containment_blocks(fam.members):
+        below.extend(row.nonzero()[0] for row in inside)
     f = [1] * len(fam)
     for _ in range(n - 1):
-        f = [sum(f[j] for j in _bits(bm)) for bm in below]
+        f = [sum(f[j] for j in idx) for idx in below]
     return sum(f)
 
 
-def _below_index_masks(members):
-    'for each member, the mask of member indices contained in it'
-    out = []
-    for mi in members:
-        bm = 0
-        for j, mj in enumerate(members):
-            if mj & ~mi == 0:
-                bm |= 1 << j
-        out.append(bm)
-    return out
+def containment_blocks(members):
+    """Yield (start, inside) over consecutive row blocks of the containment
+    matrix: inside[r, c] is True when members[c] is contained in
+    members[start + r].
+
+    Blocks hold about 2**22 cells.  Masks below 2**63 are scanned as int64,
+    wider ones as Python ints in an object array, so any width is exact.
+    """
+    import numpy as np
+
+    k = len(members)
+    wide = k > 0 and max(members) >= 1 << 63
+    arr = np.asarray(members, dtype=object if wide else np.int64)
+    step = max(1, (1 << 22) // max(k, 1))
+    for start in range(0, k, step):
+        block = arr[start : start + step, None]
+        yield start, (arr[None, :] & ~block) == 0
 
 
 def containment_counts(fam):
     """Per member: how many members it contains and how many contain it."""
-    members = fam.members
-    k = len(members)
-    if k > 256:
-        return _containment_counts_bulk(members)
-    below = [0] * k
-    above = [0] * k
-    for i, mi in enumerate(members):
-        for j, mj in enumerate(members):
-            if mj & ~mi == 0:
-                below[i] += 1
-                above[j] += 1
-    return below, above
-
-
-def _containment_counts_bulk(members):
-    'numpy-backed pair scan for big families (members must fit in 64 bits)'
     import numpy as np
 
-    if members[-1] >= 1 << 63:
-        raise CapacityError("bulk containment counts need members below 2**63")
-    arr = np.asarray(members, dtype=np.int64)
-    below = np.zeros(len(arr), dtype=np.int64)
-    above = np.zeros(len(arr), dtype=np.int64)
-    step = max(1, (1 << 22) // max(len(arr), 1))
-    for start in range(0, len(arr), step):
-        block = arr[start : start + step, None]
-        sub = (arr[None, :] & ~block) == 0
-        below[start : start + step] = sub.sum(axis=1)
-        above += sub.sum(axis=0)
+    below = np.zeros(len(fam.members), dtype=np.int64)
+    above = np.zeros(len(fam.members), dtype=np.int64)
+    for start, inside in containment_blocks(fam.members):
+        below[start : start + len(inside)] = inside.sum(axis=1)
+        above += inside.sum(axis=0)
     return below.tolist(), above.tolist()

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .engine import enumerate_downsets
-from .errors import CapacityError
+from .errors import CapacityError, StructureError
 from .poset import _bits, _popcount
 
 CANON_MAX_POINTS = 24
@@ -221,7 +221,8 @@ def type_code(q23, core_mask):
     c = [0, 0, 0, 0]
     for l in _bits(lowers):
         c[_popcount(q23.up[l] & uppers)] += 1
-    assert c[0] == 0, "core has an uncovered (isolated) lower point"
+    if c[0]:
+        raise StructureError("core has an uncovered (isolated) lower point")
     code = "%d-%d%d%d" % (u, c[1], c[2], c[3])
     if code == "4-440":
         code += "-1" if _has_crown(q23, uppers, lowers) else "-0"
@@ -362,6 +363,6 @@ def table7(split, records):
     returning them in catalogue order.  Needs the sigma machinery."""
     from .methods import build_T0_T1, class_parameters
 
-    tables = build_T0_T1(split)
-    return [replace(rec, **class_parameters(split, rec, tables)) for rec in records]
+    t1 = build_T0_T1(split)[1]
+    return [replace(rec, **class_parameters(split, rec.representative, t1)) for rec in records]
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .boolean import boolean, sub_poset
-from .engine import count_downsets, enumerate_downsets
+from .engine import containment_blocks, count_downsets, enumerate_downsets
 from .errors import DomainError, NotADownSet, ShapeError, StructureError
 from .isoclasses import _upper_lower, representation_system, type_code
 from .poset import Poset, chain, product, _bits, _popcount
@@ -354,18 +354,13 @@ def bmm6_lemma2_reference(split):
 
     t0 = time.perf_counter()
     fam = enumerate_downsets(split.q23)
-    members = np.asarray(fam.members, dtype=np.uint32)
     base_masks = [split.q23.to_parent_mask(m) for m in fam.members]
     weights = np.asarray([1 << e_of(split, bm) for bm in base_masks], dtype=np.int64)
     t_vec = [t_of(split, bm) for bm in base_masks]
-    k = len(members)
-    sigma = np.zeros(k, dtype=np.int64)
+    sigma = np.zeros(len(fam), dtype=np.int64)
     pairs = 0
-    step = max(1, (1 << 22) // k)
-    for start in range(0, k, step):
-        block = members[start : start + step, None]
-        inside = (members[None, :] & ~block) == 0
-        sigma[start : start + step] = inside @ weights
+    for start, inside in containment_blocks(fam.members):
+        sigma[start : start + len(inside)] = inside @ weights
         pairs += int(inside.sum())
     value = sum(int(s) << t for s, t in zip(sigma.tolist(), t_vec))
     return MethodReport(
@@ -519,19 +514,16 @@ def sigma_fast(split, rep, a_mask, precomp):
     return total
 
 
-def class_parameters(split, rec, tables=None):
-    'the t, sigma, containment count and inner-sum entries of one catalogue row'
-    t1 = (tables[1] if tables else build_T0_T1(split)[1])
-    pre = build_sigma_precomp(split, rec.representative, t1)
-    assert pre.free == rec.delta_mask
-    inner = 0
-    for a_mask in _subsets(rec.delta_mask):
-        inner += sigma_fast(split, rec.representative, a_mask, pre)
+def class_parameters(split, core, t1):
+    """The t, sigma, containment count and inner-sum entries of the catalogue
+    row of an isolated-free down-set of the bottom block; t1 is the
+    subset-sum table of build_T0_T1."""
+    pre = build_sigma_precomp(split, core, t1)
     return {
-        "t_val": t_of(split, split.q23.to_parent_mask(rec.representative)),
-        "sigma_val": sigma_fast(split, rec.representative, 0, pre),
+        "t_val": t_of(split, split.q23.to_parent_mask(core)),
+        "sigma_val": sigma_fast(split, core, 0, pre),
         "downclosure_count": pre.down_count,
-        "inner_sum": inner,
+        "inner_sum": sum(sigma_fast(split, core, a_mask, pre) for a_mask in _subsets(pre.free)),
     }
 
 
@@ -544,27 +536,24 @@ def bmm6_iso(split, records=None):
     t0 = time.perf_counter()
     if records is None:
         _, records = representation_system(split.q23)
-    tables = build_T0_T1(split)
+    t1 = build_T0_T1(split)[1]
     value = 0
     evaluations = 0
     rows = []
     for rec in records:
-        pre = build_sigma_precomp(split, rec.representative, tables[1])
-        t_val = t_of(split, split.q23.to_parent_mask(rec.representative))
-        inner = 0
-        for a_mask in _subsets(rec.delta_mask):
-            inner += sigma_fast(split, rec.representative, a_mask, pre)
-            if pre.uppers:
-                evaluations += 1
-        value += rec.iota * (inner << t_val)
+        par = class_parameters(split, rec.representative, t1)
+        value += rec.iota * (par["inner_sum"] << par["t_val"])
+        if rec.representative:
+            # a nonempty core has upper points
+            evaluations += 1 << rec.delta
         rows.append({
             "code": rec.type_code,
             "iota": rec.iota,
             "delta": rec.delta,
-            "t": t_val,
-            "sigma": sigma_fast(split, rec.representative, 0, pre),
-            "downsets_below": pre.down_count,
-            "inner_sum": inner,
+            "t": par["t_val"],
+            "sigma": par["sigma_val"],
+            "downsets_below": par["downclosure_count"],
+            "inner_sum": par["inner_sum"],
         })
     return MethodReport(
         method="iso", value=value, table=rows,

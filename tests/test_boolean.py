@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from downsets import (
     CapacityError,
     DomainError,
     MissingInput,
+    StructureError,
     boolean,
     count_downsets,
     dedekind_standard,
@@ -115,6 +117,16 @@ def test_residual_shapes_of_atom_decomposition():
 def test_residual_shape_rejects_non_atoms():
     with pytest.raises(DomainError):
         theorem2_residual_shape(3, 0b1000)  # word 3 has two digits
+
+
+def test_residual_shape_check_raises(monkeypatch):
+    'a wrong reference region fails the relation check with a typed error'
+    # the package re-exports the function boolean, which shadows the module name
+    mod = importlib.import_module("downsets.boolean")
+    monkeypatch.setattr(
+        mod, "sub_poset", lambda ctx, which: ctx.lattice.induced(level_mask(ctx, 1, ctx.n)))
+    with pytest.raises(StructureError):
+        theorem2_residual_shape(3, 0b10110)
 
 
 def test_binomial_convolution_matches_direct_counts():

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 import subprocess
 
@@ -7,6 +8,7 @@ import pytest
 from downsets import boolean, poset_to_text, sub_poset
 from downsets import cli
 from downsets.poset import popcount
+from conftest import random_poset
 from frozen import CATALOGUE, MU_GRID, NU_ROW
 
 DIAMOND_TEXT = """poset v1
@@ -153,6 +155,55 @@ def test_count_non_ascii_digits_are_a_parse_error(tmp_path, capsys, text, line):
     assert err.startswith("parse error: line %d: malformed" % line)
 
 
+def test_count_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.poset"
+    path.write_bytes(b"poset v1\npoints 2\nlabel 0 caf\xe9\n")
+    code, out, err = run(["count", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:") and "UTF-8" in err
+
+
+FUZZ_TOKENS = ("", "0", "1", "11", "12", "-1", "129", "99999999999", "x", "\u00b2",
+               "points", "cover", "label", "poset", "v1", "#")
+
+
+def _mutate(rng, data):
+    'one random edit of a poset file: a line dropped or repeated, a token replaced, or a byte'
+    lines = data.split(b"\n")
+    i = rng.randrange(len(lines))
+    op = rng.randrange(4)
+    if op == 0:
+        del lines[i]
+    elif op == 1:
+        lines.insert(i, rng.choice(lines))
+    elif op == 2:
+        toks = lines[i].split(b" ")
+        toks[rng.randrange(len(toks))] = rng.choice(FUZZ_TOKENS).encode()
+        lines[i] = b" ".join(toks)
+    else:
+        line = bytearray(lines[i])
+        line.insert(rng.randrange(len(line) + 1), rng.randrange(256))
+        lines[i] = bytes(line)
+    return b"\n".join(lines)
+
+
+def test_count_survives_mutated_files(tmp_path, capsys):
+    'seeded fuzz: every mutated file ends in a count, a parse error or a capacity error'
+    rng = random.Random(2718)
+    path = tmp_path / "fuzz.poset"
+    for case in range(300):
+        data = poset_to_text(random_poset(rng, 12)).encode()
+        for _ in range(rng.randint(1, 3)):
+            data = _mutate(rng, data)
+        path.write_bytes(data)
+        try:
+            code = cli.main(["count", str(path)])
+        except Exception as exc:  # noqa: BLE001 - report the input that escaped
+            pytest.fail("case %d: %r escaped on %r" % (case, exc, data))
+        capsys.readouterr()
+        assert code in (0, 2, 3), (case, code, data)
+
+
 # -- dedekind --------------------------------------------------------------------
 
 
@@ -266,6 +317,26 @@ def test_verify_reports_an_injected_fault(capsys, monkeypatch):
     lines = out.splitlines()
     assert any(line.startswith("FAIL nu:") for line in lines)
     assert lines[-1] == "10 checks, 1 failed"
+
+
+def test_verify_fails_under_python_O():
+    'the checks raise explicitly, so -O, which strips assert statements, keeps them'
+    script = (
+        "import sys\n"
+        "from downsets import cli\n"
+        "if __debug__:\n"
+        "    sys.exit('asserts are live: not running under -O')\n"
+        "cli.NU_ROW = (1,) * 11\n"
+        "run_checks = cli._run_checks\n"
+        "cli._run_checks = lambda strict: [c for c in run_checks(strict) if c[0] == 'nu']\n"
+        "sys.exit(cli.main(['verify']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("FAIL nu:")
+    assert lines[-1] == "1 checks, 1 failed"
 
 
 # -- output determinism --------------------------------------------------------------

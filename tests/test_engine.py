@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -51,13 +52,6 @@ def test_enumerate_matches_count_and_is_sorted():
 def test_enumerate_respects_limit():
     with pytest.raises(CapacityError):
         enumerate_downsets(antichain(10), limit=100)
-
-
-def test_family_index_of():
-    fam = enumerate_downsets(chain(3))
-    assert fam.index_of(0b111) == 3
-    with pytest.raises(KeyError):
-        fam.index_of(0b010)
 
 
 def test_decomposition_counts_to_the_same_total():
@@ -124,21 +118,23 @@ def test_containment_counts_small():
     assert above[0] == 6
 
 
-def test_containment_counts_pure_python_and_bulk_agree():
-    fam = enumerate_downsets(boolean(3).lattice)
-    from downsets.engine import _containment_counts_bulk
+def test_containment_counts_match_a_double_loop():
+    'B3, and a family of more than 256 members wider than 63 bits'
+    b3 = enumerate_downsets(boolean(3).lattice)
+    wide = enumerate_downsets(direct_sum(chain(7), chain(59)))
+    assert len(wide) > 256 and max(wide.members) >= 1 << 63
+    for fam in (b3, wide):
+        members = fam.members
+        below = [sum(1 for e in members if e & ~d == 0) for d in members]
+        above = [sum(1 for d in members if e & ~d == 0) for e in members]
+        assert containment_counts(fam) == (below, above)
 
-    below, above = containment_counts(fam)
-    nb, na = _containment_counts_bulk(fam.members)
-    assert list(below) == list(nb)
-    assert list(above) == list(na)
 
-
-def test_bulk_containment_counts_reject_members_past_63_bits():
-    from downsets.engine import _containment_counts_bulk
-
-    with pytest.raises(CapacityError):
-        _containment_counts_bulk((0, 1 << 63))
+def test_chain_product_count_past_63_bits():
+    # chain(n) x (C7 + C59) splits into two grids, each a binomial count
+    q = direct_sum(chain(7), chain(59))
+    for n in (2, 3):
+        assert chain_product_count(n, q) == math.comb(n + 7, 7) * math.comb(n + 59, 59)
 
 
 def test_chain_product_count_against_direct():

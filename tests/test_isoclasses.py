@@ -5,6 +5,7 @@ import pytest
 from downsets import (
     CapacityError,
     IsoClassRecord,
+    StructureError,
     Poset,
     antichain,
     are_isomorphic,
@@ -124,6 +125,13 @@ def test_type_codes_on_hand_picked_members(split, catalogue):
     for rec in records:
         member = rng.choice(rec.members)
         assert type_code(q23, member) == rec.type_code
+
+
+def test_type_code_rejects_isolated_lower_points(split, catalogue):
+    _, records = catalogue
+    rec = next(r for r in records if r.type_code == "1-300")
+    with pytest.raises(StructureError):
+        type_code(split.q23, rec.representative | (rec.delta_mask & -rec.delta_mask))
 
 
 def test_suffix_codes_mark_distinct_classes(split, catalogue):

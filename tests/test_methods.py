@@ -5,6 +5,7 @@ import pytest
 from downsets import (
     DomainError,
     NotADownSet,
+    StructureError,
     bmm5_gamma,
     bmm5_iso,
     bmm5_nu,
@@ -13,6 +14,7 @@ from downsets import (
     bmm6_mu,
     build_sigma_precomp,
     chain_product_count,
+    class_parameters,
     classify_inner_type,
     e_of,
     from_covers,
@@ -274,6 +276,16 @@ def test_class_parameters_are_label_independent(split, tables, catalogue):
         assert pre.down_count == rec.downclosure_count
         assert t_of(split, q23.to_parent_mask(member)) == rec.t_val
         assert sigma_fast(split, member, 0, pre) == rec.sigma_val
+
+
+def test_class_parameters_match_the_catalogue_and_reject_isolated_points(split, tables, catalogue):
+    _, records = catalogue
+    for rec in records:
+        got = class_parameters(split, rec.representative, tables[1])
+        assert got == {key: getattr(rec, key) for key in got}
+    rec = next(r for r in records if r.type_code == "1-300")
+    with pytest.raises(StructureError):
+        class_parameters(split, rec.representative | (rec.delta_mask & -rec.delta_mask), tables[1])
 
 
 # -- residual law and suppliers ----------------------------------------------
