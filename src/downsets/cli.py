@@ -27,6 +27,7 @@ from .engine import (
 from .errors import CapacityError, DomainError, MissingInput, ParseError
 from .isoclasses import representation_system, table7
 from .methods import (
+    _gamma_pivot,
     bmm5_gamma,
     bmm5_iso,
     bmm5_nu,
@@ -39,7 +40,7 @@ from .methods import (
     gamma_residual_multiset,
     middle_counts,
 )
-from .poset import poset_from_text, from_covers
+from .poset import _bits, poset_from_text, from_covers
 
 
 B_SMALL = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7581, 6: 7828354}
@@ -214,13 +215,6 @@ def cmd_dedekind(args):
 # -- tables ------------------------------------------------------------------
 
 
-def _iso_rows():
-    split = build_qsplit()
-    _, records = representation_system(split.q23)
-    report = bmm6_iso(split, records)
-    return report.table
-
-
 def cmd_tables(args):
     if args.which == "nu":
         row = bmm5_nu().table
@@ -243,7 +237,7 @@ def cmd_tables(args):
         if args.format == "json":
             return jsonlib.dumps(grid) + "\n"
         return "\n".join(",".join(str(x) for x in row) for row in grid) + "\n"
-    rows = _iso_rows()
+    rows = bmm6_iso(build_qsplit()).table
     if args.format == "json":
         return jsonlib.dumps(rows, indent=2) + "\n"
     lines = ["code,iota,delta,t,sigma,downsets,inner"]
@@ -360,9 +354,8 @@ def _run_checks(strict):
     add("catalogue", check_catalogue)
 
     def check_decomposition():
-        b3 = boolean(3).lattice
-        atoms = sum(1 << i for i in range(b3.n) if bin(i).count("1") == 1)
-        counts = sorted(t.residual_count for t in decompose(b3, atoms))
+        b3 = boolean(3)
+        counts = sorted(t.residual_count for t in decompose(b3.lattice, b3.levels[1]))
         _expect(counts == [1, 1, 1, 2, 2, 2, 2, 9], counts)
         _expect(sum(counts) == 20)
 
@@ -401,10 +394,7 @@ def _run_checks(strict):
         add("class-constancy", check_class_constancy)
 
         def check_gamma_uniformity():
-            mid = sub_poset(boolean(5), "middle")
-            msb = 1 << 4
-            m2_bits = [i for i, w in enumerate(mid.parent_map)
-                       if bin(w).count("1") == 2 and w & msb]
+            m2_bits = list(_bits(_gamma_pivot()[1]))
             reference = {}
             for sub_idx in range(16):
                 n2 = sum(1 << m2_bits[b] for b in range(4) if (sub_idx >> b) & 1)

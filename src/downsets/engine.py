@@ -2,7 +2,7 @@
 
 Counting uses the pivot recurrence d(P) = d(P - x) + d(P - (down(x) | up(x)))
 with the pivot chosen to destroy as much of the carrier as possible, connected
-components counted independently, and an optional bitmask-keyed memo.
+components counted independently, and a bitmask-keyed memo.
 
 Enumeration splits on a pivot x the other way round: the down-sets avoiding x
 are exactly the down-sets of P - up(x), and those containing x are down(x)
@@ -59,35 +59,28 @@ def _pivot(p, mask):
     return best
 
 
-def count_downsets(p, use_memo=True):
+def count_downsets(p):
     'number of down-sets of p'
-    memo = {} if use_memo else None
+    memo = {}
 
     def count(mask):
         if mask == 0:
             return 1
-        if memo is not None:
-            hit = memo.get(mask)
-            if hit is not None:
-                return hit
+        hit = memo.get(mask)
+        if hit is not None:
+            return hit
         total = 1
         for comp in p.components(mask):
             if comp & (comp - 1) == 0:
                 total *= 2
                 continue
-            if memo is not None:
-                hit = memo.get(comp)
-                if hit is not None:
-                    total *= hit
-                    continue
-            x = _pivot(p, comp)
-            gone = (p.up[x] | p.down[x]) & comp
-            sub = count(comp & ~(1 << x)) + count(comp & ~gone)
-            if memo is not None:
-                memo[comp] = sub
-            total *= sub
-        if memo is not None:
-            memo[mask] = total
+            hit = memo.get(comp)
+            if hit is None:
+                x = _pivot(p, comp)
+                gone = (p.up[x] | p.down[x]) & comp
+                hit = memo[comp] = count(comp & ~(1 << x)) + count(comp & ~gone)
+            total *= hit
+        memo[mask] = total
         return total
 
     return count(p.carrier)

@@ -47,101 +47,62 @@ class MethodReport:
 class QSplit:
     """The 50-point middle region on 6 atoms split by level and first digit.
 
+    Every mask is a point set of lattice, the subset lattice B6, whose
+    point index is the 6-digit binary word, first digit worth 32:
+
     m23: first digit 0, levels 2..3 (the bottom block, 20 points)
     m34: first digit 1, levels 3..4 (the top block, 20 points)
     e2:  first digit 1, level 2 (5 points);  e4: first digit 0, level 4
 
-    q is the sub-poset on the two blocks, q23 and q34 the blocks themselves,
-    s the sub-poset on e2 + m34, t the one on e4 + m23.  beta maps each
-    bottom-block point to its first-digit-flipped image in the top block.
-    All masks use base indexing; the induced posets carry back-maps.
+    Flipping the first digit is a shift by 32: m23 << 32 == m34, and for x
+    in the bottom and y in the top block, x < y iff x | 32 <= y.  q23 is the
+    bottom block as a poset, its parent indices being words.
     """
-    base: Poset
+    lattice: Poset
     m23: int
     m34: int
     e2: int
     e4: int
-    q: Poset
     q23: Poset
-    q34: Poset
-    s: Poset
-    t: Poset
-    beta: dict
     q23_lowers: tuple  # q23-local indices of the 10 bottom-level points
 
 
 def build_qsplit():
     ctx = boolean(6)
-    base = sub_poset(ctx, "middle")
-    msb = 1 << 5
-    m23 = m34 = e2 = e4 = 0
-    for i, word in enumerate(base.parent_map):
-        lev = _popcount(word)
-        if word & msb:
-            if lev in (3, 4):
-                m34 |= 1 << i
-            else:
-                e2 |= 1 << i
-        else:
-            if lev in (2, 3):
-                m23 |= 1 << i
-            else:
-                e4 |= 1 << i
-    assert _popcount(m23) == _popcount(m34) == 20 and _popcount(e2) == _popcount(e4) == 5
-    assert m23 | m34 | e2 | e4 == base.carrier
-    word_pos = {w: i for i, w in enumerate(base.parent_map)}
-    beta = {i: word_pos[base.parent_map[i] | msb] for i in _bits(m23)}
-    # the flip is strictly increasing and carries the block order faithfully:
-    # x < y in q iff beta(x) <= y, for x in the bottom and y in the top block
-    for x, bx in beta.items():
-        assert base.leq(x, bx) and x != bx
-        for y in _bits(m34):
-            left = base.leq(x, y) and x != y
-            right = base.leq(bx, y)
-            assert left == right
-    q23 = base.induced(m23)
+    low = (1 << 32) - 1  # the words with first digit 0
+    lv = ctx.levels
+    m23 = (lv[2] | lv[3]) & low
+    q23 = ctx.lattice.induced(m23)
     return QSplit(
-        base=base,
+        lattice=ctx.lattice,
         m23=m23,
-        m34=m34,
-        e2=e2,
-        e4=e4,
-        q=base.induced(m23 | m34),
+        m34=(lv[3] | lv[4]) & ~low,
+        e2=lv[2] & ~low,
+        e4=lv[4] & low,
         q23=q23,
-        q34=base.induced(m34),
-        s=base.induced(e2 | m34),
-        t=base.induced(e4 | m23),
-        beta=beta,
         q23_lowers=tuple(_bits(q23.minimal_points())),
     )
 
 
 def s_of(split, n_mask):
-    'fringe points of e2 not under the top-block part of N (base mask)'
+    'fringe points of e2 not under the top-block part of N'
     if n_mask & ~(split.m23 | split.m34):
         raise DomainError("N must live on the two blocks")
-    local = split.s.from_parent_mask(n_mask & split.m34)
-    cov = split.s.to_parent_mask(split.s.down_closure(local))
-    return _popcount(split.e2 & ~cov)
+    return _popcount(split.e2 & ~split.lattice.down_closure(n_mask & split.m34))
 
 
 def t_of(split, n_mask):
-    'fringe points of e4 not over the bottom-block complement of N'
-    local = split.t.from_parent_mask(split.m23 & ~n_mask)
-    cov = split.t.to_parent_mask(split.t.up_closure(local))
-    return _popcount(split.e4 & ~cov)
+    'fringe points of e4 not over the bottom-block complement of N (N inside m23)'
+    if n_mask & ~split.m23:
+        raise DomainError("N must live on the bottom block")
+    return _popcount(split.e4 & ~split.lattice.up_closure(split.m23 & ~n_mask))
 
 
 def e_of(split, y_mask):
     'fringe points of e2 not under the flipped image of Y (Y inside m23)'
     if y_mask & ~split.m23:
         raise DomainError("Y must live on the bottom block")
-    img = 0
-    for i in _bits(y_mask):
-        img |= 1 << split.beta[i]
-    local = split.s.from_parent_mask(img)
-    cov = split.s.to_parent_mask(split.s.down_closure(local))
-    return _popcount(split.e2 & ~cov)
+    return _popcount(split.e2 & ~split.lattice.down_closure(y_mask << 32))
 
 
 def _lower_index(split, local_mask):
@@ -408,12 +369,11 @@ class SigmaPrecomp:
     t1: list
 
 
-def build_sigma_precomp(split, rep, t1=None):
+def build_sigma_precomp(split, rep, t1):
+    'the SigmaPrecomp of a core; t1 is the subset-sum table of build_T0_T1'
     q23 = split.q23
     if not q23.is_downset(rep):
         raise NotADownSet("representative is not a down-set of the bottom block")
-    if t1 is None:
-        t1 = build_T0_T1(split)[1]
     lowers_all = q23.minimal_points()
     uppers, low_in = _upper_lower(q23, rep)
     if q23.down_closure(uppers) != rep:

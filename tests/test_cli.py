@@ -1,10 +1,12 @@
 import json
+import os
 import random
 import sys
 import subprocess
 
 import pytest
 
+import downsets
 from downsets import boolean, poset_to_text, sub_poset
 from downsets import cli
 from downsets.poset import popcount
@@ -19,6 +21,12 @@ cover 0 2
 cover 1 3
 cover 2 3
 """
+
+
+# child interpreters import the same package as this one, installed or not
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(downsets.__file__))
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p))
 
 
 def run(argv, capsys):
@@ -332,7 +340,7 @@ def test_verify_fails_under_python_O():
         "sys.exit(cli.main(['verify']))\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=CHILD_ENV)
     assert proc.returncode == 1, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("FAIL nu:")
@@ -358,6 +366,6 @@ def test_jobs_flag_never_changes_output(middle5_file, capsys):
 def test_console_entry_point(diamond_file):
     proc = subprocess.run(
         [sys.executable, "-m", "downsets", "count", diamond_file],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert proc.stdout == "6\n"

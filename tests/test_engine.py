@@ -162,10 +162,3 @@ def test_random_posets_three_way_agreement():
         assert total == len(enumerate_downsets(p))
         m_mask = random_submask(rng, p.carrier)
         assert total == count_via_decomposition(p, m_mask)
-
-
-def test_memo_and_no_memo_agree():
-    rng = random.Random(5)
-    for _ in range(30):
-        p = random_poset(rng, 8)
-        assert count_downsets(p, use_memo=False) == count_downsets(p)

@@ -27,6 +27,7 @@ from downsets import (
     t_of,
 )
 from downsets.methods import _gamma_pivot, gamma_residual_multiset
+from downsets.poset import bits, popcount
 from conftest import random_poset, random_submask
 from frozen import (
     BMM5,
@@ -51,29 +52,24 @@ def test_split_partitions_the_region(split):
     for b in blocks:
         assert union & b == 0
         union |= b
-    assert union == split.base.carrier
-    assert split.q.n == 40 and split.q23.n == 20 and split.q34.n == 20
+    middle = sum(1 << w for w in range(64) if 2 <= bin(w).count("1") <= 4)
+    assert union == middle
+    assert split.q23.n == 20 and split.q23.parent_map == tuple(bits(split.m23))
     assert len(split.q23_lowers) == 10
 
 
 def test_flip_map_shape(split):
-    words = split.base.parent_map
-    image = 0
-    for x, bx in split.beta.items():
-        assert words[bx] == words[x] | 0b100000
-        image |= 1 << bx
-    assert image == split.m34
+    assert split.m23 << 32 == split.m34
+    assert all(w < 32 for w in bits(split.m23))
 
 
 def test_flip_map_carries_the_order(split):
-    rng = random.Random(5)
-    xs = [x for x in split.beta]
-    ys = sorted(split.beta.values())
-    for _ in range(200):
-        x = rng.choice(xs)
-        y = rng.choice(ys)
-        strictly_below = split.base.leq(x, y) and x != y
-        assert strictly_below == split.base.leq(split.beta[x], y)
+    lat = split.lattice
+    for x in bits(split.m23):
+        assert lat.leq(x, x | 32)
+        for y in bits(split.m34):
+            strictly_below = lat.leq(x, y) and x != y
+            assert strictly_below == lat.leq(x | 32, y)
 
 
 def test_fringe_counters_at_the_extremes(split):
@@ -87,6 +83,26 @@ def test_fringe_counters_at_the_extremes(split):
         e_of(split, split.m34)
     with pytest.raises(DomainError):
         s_of(split, split.e2)
+    with pytest.raises(DomainError):
+        t_of(split, split.m34)
+
+
+def test_fringe_counters_match_word_formulas(split, q23_members):
+    # e2 holds the words 32 | 2^b, which lie under w | 32 iff bit b of w is
+    # set; e4 holds the words 31 - 2^b, which lie over w iff bit b of w is clear
+    q23 = split.q23
+    assert len(q23_members) == 6212
+    for local in q23_members:
+        y = q23.to_parent_mask(local)
+        union = 0
+        inter = 31
+        for w in bits(y):
+            union |= w
+        for w in bits(split.m23 & ~y):
+            inter &= w
+        assert e_of(split, y) == 5 - popcount(union)
+        assert t_of(split, y) == popcount(inter)
+        assert s_of(split, y << 32) == e_of(split, y)
 
 
 def test_fringe_counter_monotone(split):
