@@ -41,7 +41,6 @@ from .isoclasses import (
     canonical_form,
     representation_system,
     strip_isolated,
-    table7,
     type_code,
 )
 from .methods import (
@@ -65,6 +64,7 @@ from .methods import (
     sigma_fast,
     sigma_reference,
     t_of,
+    table7,
 )
 from .poset import (
     Poset,

@@ -25,9 +25,10 @@ from .engine import (
     enumerate_downsets,
 )
 from .errors import CapacityError, DomainError, MissingInput, ParseError
-from .isoclasses import representation_system, table7
+from .isoclasses import representation_system
 from .methods import (
     _gamma_pivot,
+    _subsets,
     bmm5_gamma,
     bmm5_iso,
     bmm5_nu,
@@ -39,8 +40,9 @@ from .methods import (
     class_parameters,
     gamma_residual_multiset,
     middle_counts,
+    table7,
 )
-from .poset import _bits, poset_from_text, from_covers
+from .poset import _popcount, poset_from_text, from_covers
 
 
 B_SMALL = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7581, 6: 7828354}
@@ -152,8 +154,26 @@ def cmd_count(args):
 # -- dedekind ----------------------------------------------------------------
 
 
-def _ladder_value(n, bmm):
-    return dedekind_via_theorem2(n, bmm).value
+def _route(method, n):
+    """MethodReport of the middle-region route for (method, n); DomainError
+    when no route covers it.  The table is built on every call, so it holds
+    whatever the route names are bound to at that moment."""
+    routes = {
+        ("nu", 5): bmm5_nu,
+        ("gamma", 5): bmm5_gamma,
+        ("iso", 5): lambda: bmm5_iso(representation_system(sub_poset(boolean(5), "middle"))[1]),
+        ("iso", 6): lambda: bmm6_iso(build_qsplit()),
+        ("mu", 6): bmm6_mu,
+        ("lemma2", 6): lambda: bmm6_lemma2_reference(build_qsplit()),
+    }
+    if (method, n) in routes:
+        return routes[method, n]()
+    sizes = [str(k) for m, k in routes if m == method]
+    if not sizes:
+        raise DomainError("unknown method %r" % method)
+    if len(sizes) == 1:
+        raise DomainError("method %s covers n = %s only" % (method, sizes[0]))
+    raise DomainError("method %s covers n = %s" % (method, " and ".join(sizes)))
 
 
 def _dedekind(n, method):
@@ -162,41 +182,12 @@ def _dedekind(n, method):
         if not 0 <= n <= 6:
             raise DomainError("theorem2 ladder covers n = 0..6")
         bmm = middle_counts(n) if n >= 3 else {}
-        return _ladder_value(n, bmm), max(0, n - 2)
+        return dedekind_via_theorem2(n, bmm).value, max(0, n - 2)
     if method == "standard":
         run = dedekind_standard(n)
         return run.value, run.summands
-    if method == "nu":
-        if n != 5:
-            raise DomainError("method nu covers n = 5 only")
-        rep = bmm5_nu()
-        return _ladder_value(5, {**middle_counts(4), 5: rep.value}), rep.evaluations
-    if method == "gamma":
-        if n != 5:
-            raise DomainError("method gamma covers n = 5 only")
-        rep = bmm5_gamma()
-        return _ladder_value(5, {**middle_counts(4), 5: rep.value}), rep.evaluations
-    if method == "mu":
-        if n != 6:
-            raise DomainError("method mu covers n = 6 only")
-        rep = bmm6_mu()
-        return _ladder_value(6, {**middle_counts(5), 6: rep.value}), rep.evaluations
-    if method == "lemma2":
-        if n != 6:
-            raise DomainError("method lemma2 covers n = 6 only")
-        rep = bmm6_lemma2_reference(build_qsplit())
-        return _ladder_value(6, {**middle_counts(5), 6: rep.value}), rep.evaluations
-    if method == "iso":
-        if n == 5:
-            mid = sub_poset(boolean(5), "middle")
-            _, records = representation_system(mid)
-            rep = bmm5_iso(records)
-            return _ladder_value(5, {**middle_counts(4), 5: rep.value}), rep.evaluations
-        if n == 6:
-            rep = bmm6_iso(build_qsplit())
-            return _ladder_value(6, {**middle_counts(5), 6: rep.value}), rep.evaluations
-        raise DomainError("method iso covers n = 5 and 6")
-    raise DomainError("unknown method %r" % method)
+    rep = _route(method, n)
+    return dedekind_via_theorem2(n, {**middle_counts(n - 1), n: rep.value}).value, rep.evaluations
 
 
 def cmd_dedekind(args):
@@ -216,13 +207,12 @@ def cmd_dedekind(args):
 
 
 def cmd_tables(args):
+    table = _route(args.which, 5 if args.which in ("nu", "gamma") else 6).table
     if args.which == "nu":
-        row = bmm5_nu().table
         if args.format == "json":
-            return jsonlib.dumps(row) + "\n"
-        return ",".join(str(x) for x in row) + "\n"
+            return jsonlib.dumps(table) + "\n"
+        return ",".join(str(x) for x in table) + "\n"
     if args.which == "gamma":
-        table = bmm5_gamma().table
         if args.format == "json":
             return jsonlib.dumps(
                 {"columns": [list(col) for col in table["columns"]], "rows": table["rows"]}
@@ -233,15 +223,13 @@ def cmd_tables(args):
             lines.append("%d," % j + ",".join(str(x) for x in row))
         return "\n".join(lines) + "\n"
     if args.which == "mu":
-        grid = bmm6_mu().table
         if args.format == "json":
-            return jsonlib.dumps(grid) + "\n"
-        return "\n".join(",".join(str(x) for x in row) for row in grid) + "\n"
-    rows = bmm6_iso(build_qsplit()).table
+            return jsonlib.dumps(table) + "\n"
+        return "\n".join(",".join(str(x) for x in row) for row in table) + "\n"
     if args.format == "json":
-        return jsonlib.dumps(rows, indent=2) + "\n"
+        return jsonlib.dumps(table, indent=2) + "\n"
     lines = ["code,iota,delta,t,sigma,downsets,inner"]
-    for r in rows:
+    for r in table:
         lines.append("%s,%d,%d,%d,%d,%d,%d" % (
             r["code"], r["iota"], r["delta"], r["t"],
             r["sigma"], r["downsets_below"], r["inner_sum"]))
@@ -257,12 +245,13 @@ def _expect(ok, detail=""):
         raise AssertionError(detail)
 
 
-def _random_poset(rng, max_points):
+def _random_poset(rng, max_points, density=0.25):
+    'random DAG closed to a poset; points stay topologically ordered'
     n = rng.randrange(0, max_points + 1)
     covers = []
     for j in range(1, n):
         for i in range(j):
-            if rng.random() < 0.25:
+            if rng.random() < density:
                 covers.append((i, j))
     return from_covers(n, covers)
 
@@ -394,11 +383,9 @@ def _run_checks(strict):
         add("class-constancy", check_class_constancy)
 
         def check_gamma_uniformity():
-            m2_bits = list(_bits(_gamma_pivot()[1]))
             reference = {}
-            for sub_idx in range(16):
-                n2 = sum(1 << m2_bits[b] for b in range(4) if (sub_idx >> b) & 1)
-                key = bin(sub_idx).count("1")
+            for n2 in _subsets(_gamma_pivot()[1]):
+                key = _popcount(n2)
                 got = gamma_residual_multiset(n2)
                 if key in reference:
                     _expect(got == reference[key], key)

@@ -6,7 +6,12 @@ class DownsetError(Exception):
 
 
 class CycleError(DownsetError):
-    """The cover digraph contains a directed cycle."""
+    """The cover digraph contains a directed cycle; position is the index of
+    the first cover that closes one with the covers before it."""
+
+    def __init__(self, message, position):
+        super().__init__(message)
+        self.position = position
 
 
 class CapacityError(DownsetError):

@@ -17,7 +17,7 @@ preserve the isomorphism type, so each orbit of the group they generate lies
 inside one class, and one canonical form per orbit decides which orbits merge.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 from .engine import enumerate_downsets
@@ -356,13 +356,4 @@ def representation_system(q23):
     records.sort(key=IsoClassRecord.sort_key)
     classes_all = [(idx, a) for idx, rec in enumerate(records) for a in range(rec.delta + 1)]
     return classes_all, records
-
-
-def table7(split, records):
-    """Fill t, sigma, containment count and inner sum on every record,
-    returning them in catalogue order.  Needs the sigma machinery."""
-    from .methods import build_T0_T1, class_parameters
-
-    t1 = build_T0_T1(split)[1]
-    return [replace(rec, **class_parameters(split, rec.representative, t1)) for rec in records]
 

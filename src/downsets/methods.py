@@ -3,8 +3,9 @@
 Five independent routes to the same two constants (6212 down-sets of the
 20-point middle region on 5 atoms, 7741776 on 6 atoms of the 50-point one):
 
-  nu      sweep the 1024 subsets of the top level of the 5-atom middle
-          region; each residual is an antichain, tally by its size.
+  nu      trace decomposition over the 10 upper points of the 5-atom
+          middle region; each residual is an antichain of lower points,
+          tally by its size.
   gamma   sweep an 8-point antichain pivot chosen by the designated first
           digit; residuals are unions of 2-chains and isolated points.
   mu      sweep the 2^20 subsets of the mid level of the 6-atom middle
@@ -20,11 +21,11 @@ Five independent routes to the same two constants (6212 down-sets of the
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .boolean import boolean, sub_poset
-from .engine import containment_blocks, count_downsets, enumerate_downsets
+from .engine import containment_blocks, count_downsets, decompose, enumerate_downsets
 from .errors import DomainError, NotADownSet, ShapeError, StructureError
 from .isoclasses import _upper_lower, representation_system, type_code
 from .poset import Poset, chain, product, _bits, _popcount
@@ -138,27 +139,20 @@ def build_T0_T1(split):
 
 
 def bmm5_nu():
-    """Top-level sweep: one term per subset N of the 10 upper points, the
-    residual being the antichain of lower points not under N.  Returns the
-    tally vector nu over residual sizes; the count is sum nu_i * 2^i."""
+    """Trace decomposition over the 10 upper points: one term per subset N
+    of them, the residual being the antichain of lower points not under N.
+    Returns the tally vector nu over residual sizes; the count is
+    sum nu_i * 2^i."""
     t0 = time.perf_counter()
     mid = sub_poset(boolean(5), "middle")
-    uppers = [i for i in range(mid.n) if mid.down[i] & ~(1 << i)]
-    assert len(uppers) == 10
-    low_of = [mid.down[u] & ~(1 << u) for u in uppers]
-    n_lowers = mid.n - len(uppers)
-    nu = [0] * (n_lowers + 1)
-    for m in range(1 << len(uppers)):
-        cov = 0
-        mm = m
-        while mm:
-            cov |= low_of[(mm & -mm).bit_length() - 1]
-            mm &= mm - 1
-        nu[n_lowers - _popcount(cov)] += 1
+    lowers = mid.minimal_points()
+    nu = [0] * (_popcount(lowers) + 1)
+    for term in decompose(mid, mid.carrier & ~lowers):
+        nu[term.residual.n] += 1
     value = sum(nu[i] << i for i in range(len(nu)))
     return MethodReport(
         method="nu", value=value, table=nu,
-        evaluations=1 << len(uppers), wall_time=time.perf_counter() - t0,
+        evaluations=sum(nu), wall_time=time.perf_counter() - t0,
     )
 
 
@@ -172,7 +166,6 @@ def _gamma_pivot():
             m2 |= 1 << i
         elif _popcount(word) == 3 and not word & msb:
             m3 |= 1 << i
-    assert _popcount(m2) == _popcount(m3) == 4
     return mid, m2, m3
 
 
@@ -268,7 +261,6 @@ def bmm6_mu():
     l2 = [i for i in range(mid.n) if _popcount(mid.parent_map[i]) == 2]
     l3 = [i for i in range(mid.n) if _popcount(mid.parent_map[i]) == 3]
     l4 = [i for i in range(mid.n) if _popcount(mid.parent_map[i]) == 4]
-    assert len(l2) == len(l4) == 15 and len(l3) == 20
     pos2 = {p: b for b, p in enumerate(l2)}
     pos4 = {p: b for b, p in enumerate(l4)}
     dn2 = []
@@ -487,6 +479,13 @@ def class_parameters(split, core, t1):
     }
 
 
+def table7(split, records):
+    """The catalogue records with t, sigma, containment count and inner sum
+    filled in by class_parameters, in catalogue order."""
+    t1 = build_T0_T1(split)[1]
+    return [replace(rec, **class_parameters(split, rec.representative, t1)) for rec in records]
+
+
 def bmm6_iso(split, records=None):
     """Class-collapsed summation: sum over the catalogue of
     iota(R) * 2^t(R) * sum_{A subset of the free lowers} sigma(A + R).
@@ -496,25 +495,22 @@ def bmm6_iso(split, records=None):
     t0 = time.perf_counter()
     if records is None:
         _, records = representation_system(split.q23)
-    t1 = build_T0_T1(split)[1]
-    value = 0
-    evaluations = 0
-    rows = []
-    for rec in records:
-        par = class_parameters(split, rec.representative, t1)
-        value += rec.iota * (par["inner_sum"] << par["t_val"])
-        if rec.representative:
-            # a nonempty core has upper points
-            evaluations += 1 << rec.delta
-        rows.append({
+    records = table7(split, records)
+    value = sum(rec.iota * (rec.inner_sum << rec.t_val) for rec in records)
+    # a nonempty core has upper points
+    evaluations = sum(1 << rec.delta for rec in records if rec.representative)
+    rows = [
+        {
             "code": rec.type_code,
             "iota": rec.iota,
             "delta": rec.delta,
-            "t": par["t_val"],
-            "sigma": par["sigma_val"],
-            "downsets_below": par["downclosure_count"],
-            "inner_sum": par["inner_sum"],
-        })
+            "t": rec.t_val,
+            "sigma": rec.sigma_val,
+            "downsets_below": rec.downclosure_count,
+            "inner_sum": rec.inner_sum,
+        }
+        for rec in records
+    ]
     return MethodReport(
         method="iso", value=value, table=rows,
         evaluations=evaluations, wall_time=time.perf_counter() - t0,

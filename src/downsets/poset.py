@@ -242,38 +242,26 @@ class Poset:
 def from_covers(n, covers, labels=None):
     """Smallest partial order on 0..n-1 containing every (low, high) pair.
 
-    Raises CycleError when the cover digraph has a directed cycle and
-    IndexError on out-of-range indices.
+    Raises CycleError at the first cover whose high point already lies
+    below its low point, and IndexError on out-of-range indices.
     """
     if n < 0 or n > MAX_POINTS:
         raise CapacityError("point count %d outside 0..%d" % (n, MAX_POINTS))
-    above = [0] * n
-    indeg = [0] * n
-    for lo, hi in covers:
+    up = [1 << i for i in range(n)]
+    down = list(up)
+    for k, (lo, hi) in enumerate(covers):
         if not (0 <= lo < n and 0 <= hi < n):
             raise IndexError("cover (%d, %d) outside 0..%d" % (lo, hi, n - 1))
-        if lo == hi:
-            raise CycleError("cover (%d, %d) is a self-loop" % (lo, hi))
-        if not (above[lo] >> hi) & 1:
-            above[lo] |= 1 << hi
-            indeg[hi] += 1
-    # Kahn topological order; up rows are accumulated in reverse order
-    order = [i for i in range(n) if indeg[i] == 0]
-    head = 0
-    while head < len(order):
-        for j in _bits(above[order[head]]):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                order.append(j)
-        head += 1
-    if len(order) < n:
-        raise CycleError("cover digraph has a directed cycle")
-    up = [0] * n
-    for i in reversed(order):
-        row = 1 << i
-        for j in _bits(above[i]):
-            row |= up[j]
-        up[i] = row
+        if (up[hi] >> lo) & 1:
+            raise CycleError("cover (%d, %d) closes a directed cycle" % (lo, hi), k)
+        if (up[lo] >> hi) & 1:
+            continue
+        # everything at or below lo now lies below everything at or above hi
+        above, below = up[hi], down[lo]
+        for x in _bits(below):
+            up[x] |= above
+        for y in _bits(above):
+            down[y] |= below
     return Poset(up, labels=labels)
 
 
@@ -342,17 +330,6 @@ def _indices(tokens, lineno, kind):
     raise ParseError("line %d: malformed %s line" % (lineno, kind))
 
 
-def _closing_cover(n, covers):
-    'index of the first cover that closes a directed cycle with those before it'
-    reach = [1 << i for i in range(n)]  # reach[i]: points reachable from i
-    for k, (lo, hi) in enumerate(covers):
-        if (reach[hi] >> lo) & 1:
-            return k
-        for x in range(n):
-            if (reach[x] >> lo) & 1:
-                reach[x] |= reach[hi]
-
-
 def poset_from_text(text):
     'parse the poset text format'
     n = None
@@ -407,11 +384,8 @@ def poset_from_text(text):
         lab = tuple(labels.get(i) for i in range(n))
     try:
         return from_covers(n, covers, labels=lab)
-    except CycleError:
-        k = _closing_cover(n, covers)
-        raise ParseError(
-            "line %d: cover (%d, %d) closes a directed cycle" % (cover_lines[k], *covers[k])
-        ) from None
+    except CycleError as exc:
+        raise ParseError("line %d: %s" % (cover_lines[exc.position], exc)) from None
 
 
 def poset_to_text(p):

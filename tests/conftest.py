@@ -1,15 +1,13 @@
-import random
-
 import pytest
 
 from downsets import (
     build_qsplit,
     build_T0_T1,
     enumerate_downsets,
-    from_covers,
     representation_system,
     table7,
 )
+from downsets.cli import _random_poset as random_poset
 
 
 @pytest.fixture(scope="session")
@@ -31,17 +29,6 @@ def catalogue(split):
 @pytest.fixture(scope="session")
 def q23_members(split):
     return enumerate_downsets(split.q23).members
-
-
-def random_poset(rng, max_points, density=0.25):
-    'random DAG closed to a poset; points stay topologically ordered'
-    n = rng.randrange(0, max_points + 1)
-    covers = []
-    for j in range(1, n):
-        for i in range(j):
-            if rng.random() < density:
-                covers.append((i, j))
-    return from_covers(n, covers)
 
 
 @pytest.fixture

@@ -259,6 +259,18 @@ def test_dedekind_out_of_range(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("method, n, covered", [
+    ("nu", 4, "5 only"), ("nu", 6, "5 only"),
+    ("gamma", 4, "5 only"), ("gamma", 6, "5 only"),
+    ("mu", 5, "6 only"), ("mu", 7, "6 only"),
+    ("lemma2", 5, "6 only"), ("lemma2", 7, "6 only"),
+    ("iso", 4, "5 and 6"), ("iso", 7, "5 and 6"),
+])
+def test_dedekind_uncovered_route_message(capsys, method, n, covered):
+    code, out, err = run(["dedekind", str(n), "--method", method], capsys)
+    assert (code, out, err) == (4, "", "unsupported: method %s covers n = %s\n" % (method, covered))
+
+
 def test_dedekind_unknown_method_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["dedekind", "5", "--method", "sorcery"])

@@ -26,13 +26,22 @@ def test_from_covers_builds_transitive_order():
     assert p.leq(0, 0)
     assert not p.leq(1, 2)
     assert not p.leq(3, 0)
+    # repeated and implied covers, listed out of topological order
+    assert from_covers(4, [(1, 3), (2, 3), (0, 1), (1, 3), (0, 2), (0, 3), (0, 1)]) == p
 
 
 def test_from_covers_rejects_cycles():
-    with pytest.raises(CycleError):
+    with pytest.raises(CycleError) as info:
         from_covers(3, [(0, 1), (1, 2), (2, 0)])
-    with pytest.raises(CycleError):
+    assert info.value.position == 2
+    with pytest.raises(CycleError) as info:
         from_covers(1, [(0, 0)])
+    assert info.value.position == 0
+    # (3, 0) closes the first cycle; the later (4, 2) would close another
+    with pytest.raises(CycleError) as info:
+        from_covers(5, [(2, 3), (0, 1), (2, 4), (1, 2), (3, 0), (4, 2)])
+    assert info.value.position == 4
+    assert str(info.value) == "cover (3, 0) closes a directed cycle"
 
 
 def test_from_covers_rejects_bad_indices():
