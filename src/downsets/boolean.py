@@ -17,7 +17,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .engine import enumerate_downsets, containment_counts
+from .engine import containment_counts, coordinate_automorphisms, enumerate_downsets, orbits
 from .errors import CapacityError, DomainError, MissingInput, StructureError
 from .poset import MAX_POINTS, Poset, _bits, _popcount
 
@@ -128,8 +128,12 @@ def dedekind_standard(n):
     """Down-set count of the n-atom lattice by the pairwise summation.
 
     Enumerates D of the (n-2)-atom lattice once, pre-tabulates containment
-    counts, and sums below(D & E) * above(D | E) over unordered pairs, using
-    the (D, E) / (E, D) symmetry.  Capped at n = 7 by design.
+    counts, and sums below(D & E) * above(D | E) over ordered pairs.  The
+    summand is unchanged when one coordinate permutation is applied to both
+    D and E, so the sum runs over one D per orbit of the coordinate
+    automorphisms, each row over every E and times the orbit size.
+    summands still counts the k(k+1)/2 unordered pairs of the k down-sets.
+    Capped at n = 7 by design.
     """
     if n < 2:
         raise DomainError("pairwise summation needs at least 2 atoms")
@@ -146,13 +150,10 @@ def dedekind_standard(n):
     blw = np.asarray(below, dtype=np.int64)
     abv = np.asarray(above, dtype=np.int64)
     value = 0
-    for i in range(k):
-        # row i of the upper triangle: the pair (i, i) once, the rest twice
-        tail = arr[i:]
-        ia = np.searchsorted(arr, arr[i] & tail)
-        io = np.searchsorted(arr, arr[i] | tail)
-        row = blw[ia] * abv[io]
-        value += 2 * int(row.sum()) - int(row[0])
+    for orbit in orbits(fam.members, coordinate_automorphisms(ctx.lattice)):
+        rep = orbit[0]
+        row = blw[np.searchsorted(arr, rep & arr)] * abv[np.searchsorted(arr, rep | arr)]
+        value += len(orbit) * int(row.sum())
     return StandardRun(n=n, value=value, summands=k * (k + 1) // 2, wall_time=time.perf_counter() - t0)
 
 

@@ -8,11 +8,18 @@ Enumeration splits on a pivot x the other way round: the down-sets avoiding x
 are exactly the down-sets of P - up(x), and those containing x are down(x)
 joined with a down-set of P - down(x).  Both branches are disjoint and
 exhaustive, so every down-set is produced exactly once.
+
+Symmetric sums run over orbits.  A point permutation that is an order
+automorphism maps down-sets to down-sets and decomposition terms to terms
+with isomorphic residuals, so a sum of an invariant summand over a set the
+group maps onto itself is the sum over one representative per orbit, each
+times its orbit size.  coordinate_automorphisms finds such permutations for
+posets labelled by binary words; orbits splits a set of masks.
 """
 
 from dataclasses import dataclass, field
 
-from .errors import CapacityError, DomainError, NotADownSet, TraceMismatch
+from .errors import CapacityError, DomainError, NotADownSet, StructureError, TraceMismatch
 from .poset import Poset, _bits, _popcount
 
 DEFAULT_ENUM_LIMIT = 1 << 24
@@ -35,10 +42,13 @@ class DownSetFamily:
 class DecompositionTerm:
     """One summand of the trace decomposition: trace N and residual poset.
 
-    residual_count is computed on first access.
+    weight is the number of terms this one stands for: the size of N's orbit
+    when decompose was given automorphisms, else 1.  residual_count is
+    computed on first access.
     """
     N: int
     residual: Poset
+    weight: int = 1
     _count: int = field(default=None, repr=False)
 
     @property
@@ -114,18 +124,32 @@ def enumerate_downsets(p, limit=DEFAULT_ENUM_LIMIT):
     return DownSetFamily(owner=p, members=tuple(out))
 
 
-def decompose(p, m_mask):
+def decompose(p, m_mask, perms=()):
     """Stream the trace decomposition of p over the pivot set M.
 
     One term per down-set N of the sub-poset on M; the residual is p minus
     up(M - N) | down(N), carrying a back-map to p's indexing.
+
+    perms, point permutations of p as coordinate_automorphisms returns them,
+    collapse the terms: one term per orbit of traces under the group they
+    generate, N the least trace of the orbit and weight its size, so a sum
+    of weight * f(term) equals the unreduced sum of f whenever f is invariant
+    under isomorphism of the residual.  DomainError when a permutation is
+    not an automorphism of p or does not map M onto itself.
     """
     p._check(m_mask)
+    for perm in perms:
+        if not _is_automorphism(p, perm):
+            raise DomainError("%r is not an automorphism of the poset" % (perm,))
+        if _permute(m_mask, perm) != m_mask:
+            raise DomainError("%r does not map the pivot set 0x%x onto itself" % (perm, m_mask))
     sub = p.induced(m_mask)
-    for local in _enum(sub, sub.carrier):
-        n_mask = sub.to_parent_mask(local)
-        removed = p.updown(m_mask, n_mask)
-        yield DecompositionTerm(N=n_mask, residual=p.remove(removed))
+    traces = (sub.to_parent_mask(local) for local in _enum(sub, sub.carrier))
+    # orbits must see every trace first; without perms the terms stream, so
+    # a caller's term limit stops a decomposition too large to list
+    for orbit in orbits(traces, perms) if perms else ([n_mask] for n_mask in traces):
+        removed = p.updown(m_mask, orbit[0])
+        yield DecompositionTerm(N=orbit[0], residual=p.remove(removed), weight=len(orbit))
 
 
 def count_via_decomposition(p, m_mask):
@@ -215,3 +239,73 @@ def containment_counts(fam):
         below[start : start + len(inside)] = inside.sum(axis=1)
         above += inside.sum(axis=0)
     return below.tolist(), above.tolist()
+
+
+# -- symmetry ----------------------------------------------------------------
+
+
+def _permute(mask, perm):
+    'image of a point set under a point permutation'
+    out = 0
+    for i in _bits(mask):
+        out |= 1 << perm[i]
+    return out
+
+
+def _is_automorphism(p, perm):
+    'perm is a permutation of p\'s points that maps every up row onto the up row of its image'
+    return (len(perm) == p.n and sorted(perm) == list(range(p.n))
+            and all(_permute(p.up[i], perm) == p.up[perm[i]] for i in range(p.n)))
+
+
+def coordinate_automorphisms(p):
+    """Order automorphisms of p that swap two adjacent coordinates of the
+    point labels, as point permutations (image of point i at index i).
+
+    Labels must be distinct binary words of one length, as boolean() writes
+    them and induced() keeps them; otherwise the list is empty.  A swap is
+    kept only when it maps the labels onto themselves and every up row onto
+    the up row of its image, so at most one candidate per coordinate is
+    checked and nothing else is searched.
+    """
+    labels = p.labels
+    if labels is None or len(set(labels)) != p.n or not all(
+        isinstance(lab, str) and lab and not lab.strip("01") and len(lab) == len(labels[0])
+        for lab in labels
+    ):
+        return []
+    words = [int(lab, 2) for lab in labels]
+    index = {w: i for i, w in enumerate(words)}
+    out = []
+    for j in range(len(labels[0]) - 1 if labels else 0):
+        perm = tuple(index.get(w ^ (3 << j) if ((w >> j) ^ (w >> (j + 1))) & 1 else w)
+                     for w in words)
+        if None not in perm and _is_automorphism(p, perm):
+            out.append(perm)
+    return out
+
+
+def orbits(masks, perms):
+    """Orbits of the group generated by perms on a set of point masks, each
+    listed from its least member, in ascending order of that member.
+
+    StructureError when a permutation maps a member outside the set: its
+    orbit would then not be a part of the set, and orbit sizes used as
+    weights would be wrong.
+    """
+    members = set(masks)
+    seen = set()
+    for start in sorted(members):
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for mask in orbit:
+            for perm in perms:
+                image = _permute(mask, perm)
+                if image not in seen:
+                    if image not in members:
+                        raise StructureError("a permutation maps 0x%x outside the set" % mask)
+                    seen.add(image)
+                    orbit.append(image)
+        yield orbit

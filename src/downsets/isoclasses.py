@@ -20,7 +20,7 @@ inside one class, and one canonical form per orbit decides which orbits merge.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .engine import enumerate_downsets
+from .engine import coordinate_automorphisms, enumerate_downsets, orbits
 from .errors import CapacityError, StructureError
 from .poset import _bits, _popcount
 
@@ -260,59 +260,6 @@ class IsoClassRecord:
         return (int(u), self.delta, c1, c2, c3, suffix)
 
 
-def coordinate_automorphisms(p):
-    """Order automorphisms of p that swap two adjacent coordinates of the
-    point labels, as point permutations (image of point i at index i).
-
-    Labels must be distinct binary words of one length, as boolean() writes
-    them and induced() keeps them; otherwise the list is empty.  A swap is
-    kept only when it maps the labels onto themselves and every up row onto
-    the up row of its image, so at most one candidate per coordinate is
-    checked and nothing else is searched.
-    """
-    labels = p.labels
-    if labels is None or len(set(labels)) != p.n or not all(
-        isinstance(lab, str) and lab and not lab.strip("01") and len(lab) == len(labels[0])
-        for lab in labels
-    ):
-        return []
-    words = [int(lab, 2) for lab in labels]
-    index = {w: i for i, w in enumerate(words)}
-    out = []
-    for j in range(len(labels[0]) - 1 if labels else 0):
-        perm = tuple(index.get(w ^ (3 << j) if ((w >> j) ^ (w >> (j + 1))) & 1 else w)
-                     for w in words)
-        if None not in perm and all(_permute(p.up[i], perm) == p.up[perm[i]] for i in range(p.n)):
-            out.append(perm)
-    return out
-
-
-def _permute(mask, perm):
-    'image of a point set under a point permutation'
-    out = 0
-    for i in _bits(mask):
-        out |= 1 << perm[i]
-    return out
-
-
-def _orbits(masks, perms):
-    """Orbits of the group generated by perms on masks, which it must map
-    onto themselves; each orbit is listed from its least member."""
-    seen = set()
-    for start in sorted(masks):
-        if start in seen:
-            continue
-        seen.add(start)
-        orbit = [start]
-        for mask in orbit:
-            for perm in perms:
-                image = _permute(mask, perm)
-                if image not in seen:
-                    seen.add(image)
-                    orbit.append(image)
-        yield orbit
-
-
 def representation_system(q23):
     """Classify every down-set of the two-level poset.
 
@@ -335,7 +282,7 @@ def representation_system(q23):
         if mask == (q23.down_closure(uppers) if uppers else 0):
             cores.append(mask)
     by_cert = {}
-    for orbit in _orbits(cores, coordinate_automorphisms(q23)):
+    for orbit in orbits(cores, coordinate_automorphisms(q23)):
         cert = canonical_form(q23.induced(orbit[0])).certificate
         by_cert.setdefault(cert, []).extend(orbit)
     records = []

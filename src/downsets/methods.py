@@ -25,7 +25,9 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .boolean import boolean, sub_poset
-from .engine import containment_blocks, count_downsets, decompose, enumerate_downsets
+from .engine import (
+    containment_blocks, coordinate_automorphisms, count_downsets, decompose, enumerate_downsets,
+)
 from .errors import DomainError, NotADownSet, ShapeError, StructureError
 from .isoclasses import _upper_lower, representation_system, type_code
 from .poset import Poset, chain, product, _bits, _popcount
@@ -142,13 +144,14 @@ def bmm5_nu():
     """Trace decomposition over the 10 upper points: one term per subset N
     of them, the residual being the antichain of lower points not under N.
     Returns the tally vector nu over residual sizes; the count is
-    sum nu_i * 2^i."""
+    sum nu_i * 2^i.  The 1024 subsets are tallied as 34 orbits under the
+    coordinate automorphisms, each weighted by its size."""
     t0 = time.perf_counter()
     mid = sub_poset(boolean(5), "middle")
     lowers = mid.minimal_points()
     nu = [0] * (_popcount(lowers) + 1)
-    for term in decompose(mid, mid.carrier & ~lowers):
-        nu[term.residual.n] += 1
+    for term in decompose(mid, mid.carrier & ~lowers, coordinate_automorphisms(mid)):
+        nu[term.residual.n] += term.weight
     value = sum(nu[i] << i for i in range(len(nu)))
     return MethodReport(
         method="nu", value=value, table=nu,

@@ -23,6 +23,15 @@ def _bits(mask):
         mask ^= low
 
 
+def _down_rows(up):
+    'down rows of the relation whose up rows are given'
+    down = [0] * len(up)
+    for i, row in enumerate(up):
+        for j in _bits(row):
+            down[j] |= 1 << i
+    return tuple(down)
+
+
 class Poset:
     """Finite partial order. Immutable after construction.
 
@@ -40,24 +49,35 @@ class Poset:
             raise CapacityError("poset has %d points, cap is %d" % (n, MAX_POINTS))
         up = tuple(up_rows)
         full = (1 << n) - 1
-        down = [0] * n
         for i in range(n):
             row = up[i]
             if not (row >> i) & 1:
                 raise ValueError("relation not reflexive at %d" % i)
             if row & ~full:
                 raise ValueError("relation row %d has bits outside the carrier" % i)
-            for j in _bits(row):
-                down[j] |= 1 << i
+        down = _down_rows(up)
         for i in range(n):
             if up[i] & down[i] != 1 << i:
                 raise ValueError("relation not antisymmetric at %d" % i)
             for j in _bits(up[i]):
                 if up[j] & ~up[i]:
                     raise ValueError("relation not transitive at %d <= %d" % (i, j))
-        object.__setattr__(self, "n", n)
+        self._fill(up, down, labels, parent_map)
+
+    @classmethod
+    def _from_valid_rows(cls, up_rows, labels=None, parent_map=None):
+        """Poset on up rows already known to form a partial order, such as
+        the rows of a sub-poset or dual of a Poset; only the down rows are
+        derived, nothing is checked."""
+        self = object.__new__(cls)
+        up = tuple(up_rows)
+        self._fill(up, _down_rows(up), labels, parent_map)
+        return self
+
+    def _fill(self, up, down, labels, parent_map):
+        object.__setattr__(self, "n", len(up))
         object.__setattr__(self, "up", up)
-        object.__setattr__(self, "down", tuple(down))
+        object.__setattr__(self, "down", down)
         object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
         object.__setattr__(self, "parent_map", tuple(parent_map) if parent_map is not None else None)
         object.__setattr__(self, "_parent_pos", None)
@@ -167,7 +187,7 @@ class Poset:
         labels = None
         if self.labels is not None:
             labels = tuple(self.labels[p] for p in points)
-        return Poset(rows, labels=labels, parent_map=points)
+        return Poset._from_valid_rows(rows, labels=labels, parent_map=points)
 
     def remove(self, mask):
         self._check(mask)
@@ -175,7 +195,7 @@ class Poset:
 
     def dual(self):
         'same carrier with the relation reversed'
-        return Poset(self.down, labels=self.labels)
+        return Poset._from_valid_rows(self.down, labels=self.labels)
 
     def to_parent_mask(self, mask):
         'translate a local point set into the indexing of the parent poset'

@@ -7,6 +7,7 @@ from downsets import (
     CapacityError,
     DomainError,
     NotADownSet,
+    StructureError,
     TraceMismatch,
     antichain,
     boolean,
@@ -22,7 +23,9 @@ from downsets import (
     phi_forward,
     phi_inverse,
     product,
+    sub_poset,
 )
+from downsets.engine import coordinate_automorphisms, orbits
 from conftest import random_poset, random_submask
 
 
@@ -162,3 +165,53 @@ def test_random_posets_three_way_agreement():
         assert total == len(enumerate_downsets(p))
         m_mask = random_submask(rng, p.carrier)
         assert total == count_via_decomposition(p, m_mask)
+        assert all(term.weight == 1 for term in decompose(p, m_mask))
+
+
+# -- orbits of coordinate permutations -----------------------------------------
+
+
+@pytest.mark.parametrize("n, expected", [(0, 2), (1, 3), (2, 5), (3, 10), (4, 30), (5, 210)])
+def test_orbits_of_the_downsets_of_boolean_lattices(n, expected):
+    'inequivalent monotone Boolean functions under coordinate swaps (OEIS A003182)'
+    lattice = boolean(n).lattice
+    fam = enumerate_downsets(lattice)
+    found = list(orbits(fam.members, coordinate_automorphisms(lattice)))
+    assert len(found) == expected
+    assert sum(len(orbit) for orbit in found) == len(fam)
+    assert sorted(mask for orbit in found for mask in orbit) == list(fam.members)
+    assert [orbit[0] for orbit in found] == sorted(min(orbit) for orbit in found)
+
+
+def test_orbits_reject_a_set_the_permutations_leave():
+    swap = coordinate_automorphisms(boolean(2).lattice)[0]  # swaps words 01 and 10
+    assert list(orbits([0b0001, 0b0011, 0b0101], [swap])) == [[0b0001], [0b0011, 0b0101]]
+    with pytest.raises(StructureError):
+        list(orbits([0b0001, 0b0011], [swap]))
+
+
+@pytest.mark.parametrize("which, terms, classes", [("middle5", 1024, 34), ("B4", 64, 11)])
+def test_weighted_decomposition_counts_the_whole_poset(which, terms, classes):
+    'traces on the upper points of middle(5) and on level 2 of B4 are graphs on 5 and 4 vertices'
+    if which == "middle5":
+        p = sub_poset(boolean(5), "middle")
+        m_mask = p.carrier & ~p.minimal_points()
+    else:
+        ctx = boolean(4)
+        p, m_mask = ctx.lattice, ctx.levels[2]
+    reduced = list(decompose(p, m_mask, coordinate_automorphisms(p)))
+    assert len(list(decompose(p, m_mask))) == terms
+    assert len(reduced) == classes
+    assert sum(term.weight for term in reduced) == terms
+    assert sum(term.weight * term.residual_count for term in reduced) == count_downsets(p)
+
+
+def test_decompose_rejects_permutations_that_are_not_symmetries_of_the_pivot_set():
+    p = antichain(3)
+    with pytest.raises(DomainError):
+        list(decompose(p, 0b011, [(0, 2, 1)]))  # an automorphism, but it moves point 1 out of M
+    with pytest.raises(DomainError):
+        list(decompose(chain(2), 0b11, [(1, 0)]))  # maps M onto itself, but reverses the order
+    with pytest.raises(DomainError):
+        list(decompose(p, 0b011, [(1, 0)]))  # not a permutation of the carrier
+    assert sum(term.weight for term in decompose(p, 0b011, [(1, 0, 2)])) == 4

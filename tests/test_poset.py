@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from downsets import (
@@ -14,6 +16,7 @@ from downsets import (
     product,
 )
 from downsets.errors import NotADownSet
+from conftest import random_poset, random_submask
 
 
 def diamond():
@@ -119,6 +122,18 @@ def test_induced_keeps_relation_and_backmap():
     assert sub.leq(0, 2) and sub.leq(1, 2) and not sub.leq(2, 0)
     assert sub.to_parent_mask(0b101) == 0b1001
     assert sub.from_parent_mask(0b1111) == 0b111
+
+
+def test_induced_and_dual_match_validated_construction():
+    'sub-posets and duals skip the order checks; their rows must be what the checked path derives'
+    rng = random.Random(77)
+    for _ in range(60):
+        p = random_poset(rng, 10, density=rng.choice([0.1, 0.3, 0.6]))
+        sub = p.induced(random_submask(rng, p.carrier))
+        checked = Poset(sub.up, parent_map=sub.parent_map)
+        assert (sub.up, sub.down, sub.parent_map) == (checked.up, checked.down, checked.parent_map)
+        dual = p.dual()
+        assert (dual.up, dual.down) == (p.down, p.up)
 
 
 def test_parent_masks_need_a_parent():
