@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .engine import containment_counts, coordinate_automorphisms, enumerate_downsets, orbits
 from .errors import CapacityError, DomainError, MissingInput, StructureError
-from .poset import MAX_POINTS, Poset, _bits, _popcount
+from .poset import MAX_POINTS, Poset, _bits, _popcount, _relabel
 
 REGIONS = ("full", "upper", "lower", "middle")
 
@@ -173,33 +173,30 @@ def theorem2_residual_shape(n, n_mask):
     if n_mask & ~atoms:
         raise DomainError("N must be a subset of the atom level")
     k = _popcount(n_mask)
-    residual = ctx.lattice.remove(ctx.lattice.updown(atoms, n_mask))
+    lattice = ctx.lattice
+    # the residual as a point set of the lattice, whose point index is the word
+    rest = lattice.carrier & ~lattice.updown(atoms, n_mask)
     if k == 0:
-        if residual.n != 1 or residual.parent_map != (0,):
+        if rest != 1:
             raise StructureError("residual of the empty trace is not the bottom point")
         return "singleton-bottom"
     if k == 1:
-        if residual.n != 0:
+        if rest:
             raise StructureError("residual of a one-atom trace is not empty")
         return "empty"
-    # positions of the chosen atoms, ascending; each surviving word is
-    # supported on them and has at least 2 ones
-    digits = [a.bit_length() - 1 for a in _bits(n_mask)]
-    support = sum(1 << d for d in digits)
-    compress = {}
-    for local, word in enumerate(residual.parent_map):
-        if word & ~support:
-            raise StructureError("survivor outside chosen atoms")
-        compress[local] = sum(1 << pos for pos, d in enumerate(digits) if (word >> d) & 1)
+    # each surviving word is supported on the chosen atoms and has at least 2
+    # ones; compressing it onto their digits, ascending, gives a word of B(k)
+    support = sum(_bits(n_mask))
+    digit_pos = {a.bit_length() - 1: pos for pos, a in enumerate(_bits(n_mask))}
     reference = sub_poset(boolean(k), "upper")
     ref_pos = {word: i for i, word in enumerate(reference.parent_map)}
-    perm = [ref_pos.get(compress[i]) for i in range(residual.n)]
-    if None in perm or sorted(perm) != list(range(reference.n)):
+    perm = {}
+    for word in _bits(rest):
+        if word & ~support:
+            raise StructureError("survivor outside chosen atoms")
+        perm[word] = ref_pos.get(_relabel(word, digit_pos))
+    if None in perm.values() or sorted(perm.values()) != list(range(reference.n)):
         raise StructureError("residual points do not match the expected upper region")
-    for i in range(residual.n):
-        mapped = 0
-        for j in _bits(residual.up[i]):
-            mapped |= 1 << perm[j]
-        if mapped != reference.up[perm[i]]:
-            raise StructureError("residual is not the expected upper region")
+    if any(_relabel(lattice.up[x] & rest, perm) != reference.up[y] for x, y in perm.items()):
+        raise StructureError("residual is not the expected upper region")
     return "upper(%d)" % k

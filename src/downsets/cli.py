@@ -135,7 +135,8 @@ def cmd_count(args):
         terms += 1
         if terms > args.limit:
             raise CapacityError("more than %d decomposition terms" % args.limit)
-        sizes[term.residual.n] = sizes.get(term.residual.n, 0) + 1
+        size = _popcount(term.mask)
+        sizes[size] = sizes.get(size, 0) + 1
         value += term.residual_count
     hist = sorted(sizes.items())
     if args.format == "json":

@@ -2,7 +2,9 @@
 
 Counting uses the pivot recurrence d(P) = d(P - x) + d(P - (down(x) | up(x)))
 with the pivot chosen to destroy as much of the carrier as possible, connected
-components counted independently, and a bitmask-keyed memo.
+components counted independently, and a bitmask-keyed memo.  It counts the
+sub-poset of p on any point set, so the residuals of a trace decomposition
+stay point sets of the decomposed poset and share one memo.
 
 Enumeration splits on a pivot x the other way round: the down-sets avoiding x
 are exactly the down-sets of P - up(x), and those containing x are down(x)
@@ -20,15 +22,14 @@ posets labelled by binary words; orbits splits a set of masks.
 from dataclasses import dataclass, field
 
 from .errors import CapacityError, DomainError, NotADownSet, StructureError, TraceMismatch
-from .poset import Poset, _bits, _popcount
+from .poset import Poset, _bits, _popcount, _relabel
 
 DEFAULT_ENUM_LIMIT = 1 << 24
 
 
 @dataclass
 class DownSetFamily:
-    'all down-sets of owner, as masks sorted ascending by bit pattern'
-    owner: Poset
+    'all down-sets of a poset, as masks sorted ascending by bit pattern'
     members: tuple
 
     def __len__(self):
@@ -40,22 +41,23 @@ class DownSetFamily:
 
 @dataclass
 class DecompositionTerm:
-    """One summand of the trace decomposition: trace N and residual poset.
+    """One summand of the trace decomposition: trace N and the residual
+    p - (up(M - N) | down(N)) as the point set mask of the decomposed p.
 
     weight is the number of terms this one stands for: the size of N's orbit
-    when decompose was given automorphisms, else 1.  residual_count is
-    computed on first access.
+    when decompose was given automorphisms, else 1.  residual_count counts
+    the down-sets on mask through the memo all terms of one decomposition
+    share.
     """
     N: int
-    residual: Poset
+    mask: int
     weight: int = 1
-    _count: int = field(default=None, repr=False)
+    _owner: Poset = field(default=None, repr=False, compare=False)
+    _memo: dict = field(default=None, repr=False, compare=False)
 
     @property
     def residual_count(self):
-        if self._count is None:
-            self._count = count_downsets(self.residual)
-        return self._count
+        return count_downsets(self._owner, self.mask, self._memo)
 
 
 def _pivot(p, mask):
@@ -69,9 +71,16 @@ def _pivot(p, mask):
     return best
 
 
-def count_downsets(p):
-    'number of down-sets of p'
-    memo = {}
+def count_downsets(p, mask=None, memo=None):
+    """Number of down-sets of the sub-poset of p on mask, all of p by default.
+
+    memo maps point sets of p to their counts, so calls on one p may share
+    it.  IndexError, as from Poset.components, for a mask outside p.
+    """
+    if mask is None:
+        mask = p.carrier
+    if memo is None:
+        memo = {}
 
     def count(mask):
         if mask == 0:
@@ -93,7 +102,7 @@ def count_downsets(p):
         memo[mask] = total
         return total
 
-    return count(p.carrier)
+    return count(mask)
 
 
 def _enum(p, mask):
@@ -121,14 +130,15 @@ def enumerate_downsets(p, limit=DEFAULT_ENUM_LIMIT):
         if len(out) > limit:
             raise CapacityError("more than %d down-sets" % limit)
     out.sort()
-    return DownSetFamily(owner=p, members=tuple(out))
+    return DownSetFamily(members=tuple(out))
 
 
 def decompose(p, m_mask, perms=()):
     """Stream the trace decomposition of p over the pivot set M.
 
-    One term per down-set N of the sub-poset on M; the residual is p minus
-    up(M - N) | down(N), carrying a back-map to p's indexing.
+    One term per down-set N of the sub-poset on M, with the residual
+    p - (up(M - N) | down(N)) as a point set of p; no sub-poset is built,
+    and the terms of one call count their residuals through one memo.
 
     perms, point permutations of p as coordinate_automorphisms returns them,
     collapse the terms: one term per orbit of traces under the group they
@@ -141,15 +151,15 @@ def decompose(p, m_mask, perms=()):
     for perm in perms:
         if not _is_automorphism(p, perm):
             raise DomainError("%r is not an automorphism of the poset" % (perm,))
-        if _permute(m_mask, perm) != m_mask:
+        if _relabel(m_mask, perm) != m_mask:
             raise DomainError("%r does not map the pivot set 0x%x onto itself" % (perm, m_mask))
-    sub = p.induced(m_mask)
-    traces = (sub.to_parent_mask(local) for local in _enum(sub, sub.carrier))
+    traces = _enum(p, m_mask)
+    memo = {}
     # orbits must see every trace first; without perms the terms stream, so
     # a caller's term limit stops a decomposition too large to list
     for orbit in orbits(traces, perms) if perms else ([n_mask] for n_mask in traces):
-        removed = p.updown(m_mask, orbit[0])
-        yield DecompositionTerm(N=orbit[0], residual=p.remove(removed), weight=len(orbit))
+        mask = p.carrier & ~p.updown(m_mask, orbit[0])
+        yield DecompositionTerm(N=orbit[0], mask=mask, weight=len(orbit), _owner=p, _memo=memo)
 
 
 def count_via_decomposition(p, m_mask):
@@ -244,18 +254,10 @@ def containment_counts(fam):
 # -- symmetry ----------------------------------------------------------------
 
 
-def _permute(mask, perm):
-    'image of a point set under a point permutation'
-    out = 0
-    for i in _bits(mask):
-        out |= 1 << perm[i]
-    return out
-
-
 def _is_automorphism(p, perm):
     'perm is a permutation of p\'s points that maps every up row onto the up row of its image'
     return (len(perm) == p.n and sorted(perm) == list(range(p.n))
-            and all(_permute(p.up[i], perm) == p.up[perm[i]] for i in range(p.n)))
+            and all(_relabel(p.up[i], perm) == p.up[perm[i]] for i in range(p.n)))
 
 
 def coordinate_automorphisms(p):
@@ -302,7 +304,7 @@ def orbits(masks, perms):
         orbit = [start]
         for mask in orbit:
             for perm in perms:
-                image = _permute(mask, perm)
+                image = _relabel(mask, perm)
                 if image not in seen:
                     if image not in members:
                         raise StructureError("a permutation maps 0x%x outside the set" % mask)

@@ -22,7 +22,7 @@ from itertools import combinations
 
 from .engine import coordinate_automorphisms, enumerate_downsets, orbits
 from .errors import CapacityError, StructureError
-from .poset import _bits, _popcount
+from .poset import _bits, _popcount, _relabel
 
 CANON_MAX_POINTS = 24
 
@@ -73,12 +73,9 @@ def _component_certificate(p, mask):
     points = list(_bits(mask))
     k = len(points)
     pos = {q: idx for idx, q in enumerate(points)}
-    up_loc = [0] * k
-    dn_loc = [0] * k
-    for a in points:
-        for b in _bits(p.up[a] & mask & ~(1 << a)):
-            up_loc[pos[a]] |= 1 << pos[b]
-            dn_loc[pos[b]] |= 1 << pos[a]
+    # strict up and down rows in local indexing
+    up_loc = [_relabel(p.up[a] & mask & ~(1 << a), pos) for a in points]
+    dn_loc = [_relabel(p.down[a] & mask & ~(1 << a), pos) for a in points]
 
     h = _height(p, mask)
     first = {}

@@ -30,7 +30,7 @@ from .engine import (
 )
 from .errors import DomainError, NotADownSet, ShapeError, StructureError
 from .isoclasses import _upper_lower, representation_system, type_code
-from .poset import Poset, chain, product, _bits, _popcount
+from .poset import Poset, chain, product, _bits, _popcount, _relabel
 
 
 @dataclass
@@ -67,7 +67,7 @@ class QSplit:
     e2: int
     e4: int
     q23: Poset
-    q23_lowers: tuple  # q23-local indices of the 10 bottom-level points
+    q23_lowers: dict  # q23-local index of each bottom-level point -> its bit among the 10
 
 
 def build_qsplit():
@@ -83,7 +83,7 @@ def build_qsplit():
         e2=lv[2] & ~low,
         e4=lv[4] & low,
         q23=q23,
-        q23_lowers=tuple(_bits(q23.minimal_points())),
+        q23_lowers={i: b for b, i in enumerate(_bits(q23.minimal_points()))},
     )
 
 
@@ -108,28 +108,13 @@ def e_of(split, y_mask):
     return _popcount(split.e2 & ~split.lattice.down_closure(y_mask << 32))
 
 
-def _lower_index(split, local_mask):
-    '10-bit index of a subset of the bottom-level points of q23'
-    idx = 0
-    for b, i in enumerate(split.q23_lowers):
-        if (local_mask >> i) & 1:
-            idx |= 1 << b
-    return idx
-
-
 def build_T0_T1(split):
     """1024-entry tables over subsets Y of the bottom-level points:
     T0[Y] = 2^e(Y), T1[Y] = sum of T0 over subsets of Y (zeta transform)."""
-    lows = split.q23_lowers
-    t0 = []
-    for m in range(1 << len(lows)):
-        local = 0
-        for b in range(len(lows)):
-            if (m >> b) & 1:
-                local |= 1 << lows[b]
-        t0.append(1 << e_of(split, split.q23.to_parent_mask(local)))
+    words = [split.q23.parent_map[i] for i in split.q23_lowers]  # word of each index bit
+    t0 = [1 << e_of(split, _relabel(m, words)) for m in range(1 << len(words))]
     t1 = list(t0)
-    for d in range(len(lows)):
+    for d in range(len(words)):
         bit = 1 << d
         for m in range(len(t1)):
             if m & bit:
@@ -151,7 +136,7 @@ def bmm5_nu():
     lowers = mid.minimal_points()
     nu = [0] * (_popcount(lowers) + 1)
     for term in decompose(mid, mid.carrier & ~lowers, coordinate_automorphisms(mid)):
-        nu[term.residual.n] += term.weight
+        nu[_popcount(term.mask)] += term.weight
     value = sum(nu[i] << i for i in range(len(nu)))
     return MethodReport(
         method="nu", value=value, table=nu,
@@ -174,9 +159,8 @@ def _gamma_pivot():
 
 def _gamma_residual_class(mid, m_mask, n_mask):
     'residual shape as (number of 2-chains, number of isolated points)'
-    res = mid.remove(mid.updown(m_mask, n_mask))
     c = a = 0
-    for comp in res.components():
+    for comp in mid.components(mid.carrier & ~mid.updown(m_mask, n_mask)):
         size = _popcount(comp)
         if size == 1:
             a += 1
@@ -266,11 +250,9 @@ def bmm6_mu():
     l4 = [i for i in range(mid.n) if _popcount(mid.parent_map[i]) == 4]
     pos2 = {p: b for b, p in enumerate(l2)}
     pos4 = {p: b for b, p in enumerate(l4)}
-    dn2 = []
-    up4 = []
-    for u in l3:
-        dn2.append(sum(1 << pos2[p] for p in _bits(mid.down[u]) if p in pos2))
-        up4.append(sum(1 << pos4[p] for p in _bits(mid.up[u]) if p in pos4))
+    # a level-3 point has only level-2 points strictly below it, level-4 above
+    dn2 = [_relabel(mid.down[u] & ~(1 << u), pos2) for u in l3]
+    up4 = [_relabel(mid.up[u] & ~(1 << u), pos4) for u in l3]
     size = 1 << 20
     sel = np.arange(size, dtype=np.uint32)
     covered2 = np.zeros(size, dtype=np.uint16)
@@ -440,7 +422,7 @@ def build_sigma_precomp(split, rep, t1):
         uppers=tuple(ups),
         covered=covered,
         free=lowers_all & ~covered,
-        down_count=count_downsets(q23.induced(rep)),
+        down_count=count_downsets(q23, rep),
         g1=g1,
         g2=g2,
         pair_g=tuple(pair_g),
@@ -459,7 +441,7 @@ def sigma_fast(split, rep, a_mask, precomp):
     if a_mask & ~precomp.free:
         raise DomainError("A must consist of free lower points")
     ap = precomp.covered | a_mask
-    total = precomp.t1[_lower_index(split, ap)]
+    total = precomp.t1[_relabel(ap, split.q23_lowers)]
     total += (1 << _popcount(a_mask)) * precomp.down_count - (1 << _popcount(ap))
     for u in precomp.uppers:
         total += 1 + (1 << _popcount(precomp.g1[u] & ap)) + (1 << _popcount(precomp.g2[u] & ap))
@@ -532,24 +514,15 @@ def lemma1_check(n, q, n_mask):
     if not q.is_downset(n_mask):
         raise NotADownSet("N must be a down-set of the bottom copy")
     p = product(chain(n), q)
-    m0 = (1 << q.n) - 1
-    residual = p.remove(p.updown(m0, n_mask))
-    expected = sorted(k * q.n + j for k in range(1, n) for j in _bits(n_mask))
-    if list(residual.parent_map) != expected:
-        return False
+    rest = p.carrier & ~p.updown((1 << q.n) - 1, n_mask)
     sub = q.induced(n_mask)
     ref = product(chain(n - 1), sub)
-    send = {}
-    for local, parent in enumerate(residual.parent_map):
-        k, j = divmod(parent, q.n)
-        send[local] = (k - 1) * sub.n + sub._positions()[j]
-    for local in range(residual.n):
-        image = 0
-        for other in _bits(residual.up[local]):
-            image |= 1 << send[other]
-        if image != ref.up[send[local]]:
-            return False
-    return True
+    # point k * q.n + j of p, j in N, should be point (k - 1, j's index in sub) of ref
+    pos = {j: b for b, j in enumerate(sub.parent_map)}
+    send = {k * q.n + j: (k - 1) * sub.n + pos[j] for k in range(1, n) for j in sub.parent_map}
+    if rest != sum(1 << x for x in send):
+        return False
+    return all(_relabel(p.up[x] & rest, send) == ref.up[y] for x, y in send.items())
 
 
 def middle_counts(n_max):

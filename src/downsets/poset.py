@@ -23,6 +23,14 @@ def _bits(mask):
         mask ^= low
 
 
+def _relabel(mask, image):
+    'point set {image[i] : i in mask}; image is a sequence or a dict indexed by point'
+    out = 0
+    for i in _bits(mask):
+        out |= 1 << image[i]
+    return out
+
+
 def _down_rows(up):
     'down rows of the relation whose up rows are given'
     down = [0] * len(up)
@@ -41,7 +49,7 @@ class Poset:
     induced from.
     """
 
-    __slots__ = ("n", "up", "down", "labels", "parent_map", "_parent_pos")
+    __slots__ = ("n", "up", "down", "labels", "parent_map")
 
     def __init__(self, up_rows, labels=None, parent_map=None):
         n = len(up_rows)
@@ -80,7 +88,6 @@ class Poset:
         object.__setattr__(self, "down", down)
         object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
         object.__setattr__(self, "parent_map", tuple(parent_map) if parent_map is not None else None)
-        object.__setattr__(self, "_parent_pos", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poset is immutable")
@@ -178,12 +185,7 @@ class Poset:
         self._check(mask)
         points = list(_bits(mask))
         pos = {p: k for k, p in enumerate(points)}
-        rows = []
-        for p in points:
-            row = 0
-            for q in _bits(self.up[p] & mask):
-                row |= 1 << pos[q]
-            rows.append(row)
+        rows = [_relabel(self.up[p] & mask, pos) for p in points]
         labels = None
         if self.labels is not None:
             labels = tuple(self.labels[p] for p in points)
@@ -200,39 +202,9 @@ class Poset:
     def to_parent_mask(self, mask):
         'translate a local point set into the indexing of the parent poset'
         self._check(mask)
-        self._require_parent()
-        out = 0
-        for i in _bits(mask):
-            out |= 1 << self.parent_map[i]
-        return out
-
-    def from_parent_mask(self, mask):
-        """Translate a parent point set into local indexing.
-
-        Parent points outside this carrier are silently dropped, so the call
-        doubles as restriction onto the carrier.
-        """
-        self._require_parent()
-        if mask < 0:
-            raise DomainError("parent point set %d is negative" % mask)
-        pos = self._positions()
-        out = 0
-        for p in _bits(mask):
-            k = pos.get(p)
-            if k is not None:
-                out |= 1 << k
-        return out
-
-    def _require_parent(self):
         if self.parent_map is None:
             raise DomainError("poset has no parent")
-
-    def _positions(self):
-        pos = self._parent_pos
-        if pos is None:
-            pos = {p: k for k, p in enumerate(self.parent_map)}
-            object.__setattr__(self, "_parent_pos", pos)
-        return pos
+        return _relabel(mask, self.parent_map)
 
     def components(self, mask=None):
         'connected components of the comparability graph, as masks'

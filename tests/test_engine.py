@@ -71,12 +71,33 @@ def test_atom_level_decomposition_of_the_cube():
     assert counts == [1, 1, 1, 2, 2, 2, 2, 9]
 
 
-def test_decomposition_terms_carry_residual_backmaps():
+def test_decomposition_terms_carry_residual_masks():
+    'on chain(4) over M = {0, 1}, only the full trace leaves points: 2 and 3'
     p = chain(4)
-    terms = list(decompose(p, 0b0011))
-    assert len(terms) == 3
-    for term in terms:
-        assert term.residual.parent_map is not None
+    terms = sorted(decompose(p, 0b0011), key=lambda term: term.N)
+    assert [(term.N, term.mask) for term in terms] == [(0, 0), (0b01, 0), (0b11, 0b1100)]
+    assert [term.residual_count for term in terms] == [1, 1, 3]
+
+
+def test_terms_of_one_decomposition_share_a_memo():
+    'counted in reverse order, the terms give the counts and sum of a forward pass'
+    ctx = boolean(4)
+    forward = list(decompose(ctx.lattice, ctx.levels[2]))
+    counts = [term.residual_count for term in forward]
+    backward = list(decompose(ctx.lattice, ctx.levels[2]))
+    assert len({id(term._memo) for term in backward}) == 1
+    assert [term.residual_count for term in reversed(backward)] == counts[::-1]
+    assert sum(counts) == count_downsets(ctx.lattice) == 168
+
+
+def test_count_rejects_masks_outside_the_carrier():
+    p = chain(3)
+    for mask in (0b1000, -1):
+        with pytest.raises(IndexError) as expected:
+            p.components(mask)
+        with pytest.raises(IndexError) as got:
+            count_downsets(p, mask)
+        assert str(got.value) == str(expected.value)
 
 
 def test_phi_round_trip_on_every_downset():
@@ -159,13 +180,19 @@ def test_chain_product_count_facts():
 
 def test_random_posets_three_way_agreement():
     rng = random.Random(4242)
+    mask_rng = random.Random(4243)  # kept apart so rng draws the same posets and pivot sets
     for _ in range(150):
         p = random_poset(rng, 9, density=rng.choice([0.1, 0.3, 0.6]))
         total = count_downsets(p)
         assert total == len(enumerate_downsets(p))
+        mask = random_submask(mask_rng, p.carrier)
+        assert count_downsets(p, mask) == count_downsets(p.induced(mask))
         m_mask = random_submask(rng, p.carrier)
         assert total == count_via_decomposition(p, m_mask)
-        assert all(term.weight == 1 for term in decompose(p, m_mask))
+        for term in decompose(p, m_mask):
+            assert term.weight == 1
+            assert term.mask == p.carrier & ~p.updown(m_mask, term.N)
+            assert term.residual_count == count_downsets(p.induced(term.mask))
 
 
 # -- orbits of coordinate permutations -----------------------------------------

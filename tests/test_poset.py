@@ -121,7 +121,6 @@ def test_induced_keeps_relation_and_backmap():
     assert sub.parent_map == (0, 1, 3)
     assert sub.leq(0, 2) and sub.leq(1, 2) and not sub.leq(2, 0)
     assert sub.to_parent_mask(0b101) == 0b1001
-    assert sub.from_parent_mask(0b1111) == 0b111
 
 
 def test_induced_and_dual_match_validated_construction():
@@ -140,14 +139,6 @@ def test_parent_masks_need_a_parent():
     p = diamond()
     with pytest.raises(DomainError):
         p.to_parent_mask(0b1)
-    with pytest.raises(DomainError):
-        p.from_parent_mask(0b1)
-
-
-def test_from_parent_mask_rejects_negative_masks():
-    sub = diamond().induced(0b1011)
-    with pytest.raises(DomainError):
-        sub.from_parent_mask(-1)
 
 
 def test_negative_chain_and_antichain_sizes():
