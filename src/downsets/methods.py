@@ -240,7 +240,11 @@ def bmm6_mu():
     """Mid-level sweep: one term per subset N of the 20 level-3 points.  The
     residual is an antichain made of the level-2 points not under N and the
     level-4 points not over the complement of N; mu[i][j] tallies subsets by
-    the two sizes, and the count is sum mu[i][j] * 2^(i+j)."""
+    the two sizes, and the count is sum mu[i][j] * 2^(i+j).
+
+    The 2**20 covered sets are filled by subset doubling, one half-width OR
+    per level-3 point, and tallied as uint8 cell indices, so the sweep holds
+    about 8 MB of arrays."""
     import numpy as np
 
     t0 = time.perf_counter()
@@ -254,17 +258,19 @@ def bmm6_mu():
     dn2 = [_relabel(mid.down[u] & ~(1 << u), pos2) for u in l3]
     up4 = [_relabel(mid.up[u] & ~(1 << u), pos4) for u in l3]
     size = 1 << 20
-    sel = np.arange(size, dtype=np.uint32)
     covered2 = np.zeros(size, dtype=np.uint16)
     covered4 = np.zeros(size, dtype=np.uint16)
+    # subset doubling: the subsets with highest point b are those below 2**b plus b
     for b in range(20):
-        hit = (sel >> np.uint32(b)) & np.uint32(1) == 1
-        covered2[hit] |= np.uint16(dn2[b])
-        covered4[hit] |= np.uint16(up4[b])
-    i_arr = 15 - np.bitwise_count(covered2).astype(np.int32)
-    # the complement of mask x is (size-1) - x, so index reversal flips N
-    j_arr = 15 - np.bitwise_count(covered4[::-1]).astype(np.int32)
-    grid = np.bincount(i_arr * 16 + j_arr, minlength=256).reshape(16, 16)
+        covered2[1 << b : 2 << b] = covered2[: 1 << b] | np.uint16(dn2[b])
+        covered4[1 << b : 2 << b] = covered4[: 1 << b] | np.uint16(up4[b])
+    # the complement of mask x is (size-1) - x, so index reversal flips N;
+    # both sizes are at most 15, so the cell index 16 * i + j fits in uint8
+    i_arr = 15 - np.bitwise_count(covered2)
+    j_arr = 15 - np.bitwise_count(covered4[::-1])
+    cells = i_arr * np.uint8(16) + j_arr
+    # bincount widens its input to intp, so it gets 64 slices of 16K cells
+    grid = sum(np.bincount(part, minlength=256) for part in cells.reshape(64, -1)).reshape(16, 16)
     table = [[int(x) for x in row] for row in grid]
     value = sum(table[i][j] << (i + j) for i in range(16) for j in range(16))
     return MethodReport(

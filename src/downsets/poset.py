@@ -191,10 +191,6 @@ class Poset:
             labels = tuple(self.labels[p] for p in points)
         return Poset._from_valid_rows(rows, labels=labels, parent_map=points)
 
-    def remove(self, mask):
-        self._check(mask)
-        return self.induced(self.carrier & ~mask)
-
     def dual(self):
         'same carrier with the relation reversed'
         return Poset._from_valid_rows(self.down, labels=self.labels)

@@ -25,7 +25,8 @@ from downsets import (
     product,
     sub_poset,
 )
-from downsets.engine import coordinate_automorphisms, orbits
+from downsets.engine import _by_bytes, _byte_tables, containment_blocks, coordinate_automorphisms, orbits
+from downsets.poset import _relabel
 from conftest import random_poset, random_submask
 
 
@@ -154,6 +155,20 @@ def test_containment_counts_match_a_double_loop():
         assert containment_counts(fam) == (below, above)
 
 
+def test_containment_counts_over_many_blocks():
+    'B5: 7581 down-sets in blocks of about 2**18 cells, against the counter'
+    lattice = boolean(5).lattice
+    fam = enumerate_downsets(lattice)
+    starts = [(start, len(inside)) for start, inside in containment_blocks(fam.members)]
+    assert len(starts) > 200
+    assert [start for start, _ in starts] == [0] + [start + rows for start, rows in starts[:-1]]
+    assert sum(rows for _, rows in starts) == len(fam)
+    memo = {}
+    below = [count_downsets(lattice, d, memo) for d in fam]
+    above = [count_downsets(lattice, lattice.carrier & ~d, memo) for d in fam]
+    assert containment_counts(fam) == (below, above)
+
+
 def test_chain_product_count_past_63_bits():
     # chain(n) x (C7 + C59) splits into two grids, each a binomial count
     q = direct_sum(chain(7), chain(59))
@@ -215,6 +230,29 @@ def test_orbits_reject_a_set_the_permutations_leave():
     assert list(orbits([0b0001, 0b0011, 0b0101], [swap])) == [[0b0001], [0b0011, 0b0101]]
     with pytest.raises(StructureError):
         list(orbits([0b0001, 0b0011], [swap]))
+
+
+@pytest.mark.parametrize("n", [5, 20, 50, 128])
+def test_byte_tables_relabel_like_the_bit_loop(n):
+    rng = random.Random(n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    tables = _byte_tables(perm)
+    full = (1 << n) - 1
+    masks = [0, full] + [1 << i for i in range(n)] + [rng.getrandbits(n) for _ in range(200)]
+    for mask in masks:
+        assert _by_bytes(mask, tables) == _relabel(mask, perm)
+    if n % 8:
+        with pytest.raises(IndexError):  # the last table holds only the points of perm
+            _by_bytes(1 << n, tables)
+
+
+def test_orbits_reject_members_outside_the_permutations():
+    swap = coordinate_automorphisms(boolean(2).lattice)[0]
+    for masks in ([0b0001, 0b10000], [-1, 0b0001]):
+        with pytest.raises(DomainError):
+            list(orbits(masks, [swap]))
+    assert list(orbits([0b10000], [])) == [[0b10000]]
 
 
 @pytest.mark.parametrize("which, terms, classes", [("middle5", 1024, 34), ("B4", 64, 11)])

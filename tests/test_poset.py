@@ -148,11 +148,6 @@ def test_negative_chain_and_antichain_sizes():
         antichain(-2)
 
 
-def test_remove_complements_induced():
-    p = diamond()
-    assert p.remove(0b0110).parent_map == (0, 3)
-
-
 def test_dual_swaps_directions():
     p = chain(3).dual()
     assert p.leq(2, 0)
