@@ -154,7 +154,7 @@ def strip_isolated(p):
     '(sub-poset without isolated points, number of isolated points removed)'
     iso = 0
     for i in range(p.n):
-        if (p.up[i] | p.down[i]) == 1 << i:
+        if p.comparable[i] == 1 << i:
             iso |= 1 << i
     return p.induced(p.carrier & ~iso), _popcount(iso)
 

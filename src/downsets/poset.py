@@ -1,10 +1,11 @@
 """Immutable finite posets over integer-indexed points.
 
 Point sets are plain python ints used as bit vectors: bit i set means point i
-is in the set.  A poset stores, per point, the bitmask of everything above it
-and everything below it, so closures and comparability tests are single OR /
-AND operations.  The carrier is capped at MAX_POINTS so masks stay a couple of
-machine words wide.
+is in the set.  A poset stores, per point, the bitmask of everything above it,
+of everything below it and of their union, the point's comparability row, so
+closures, comparability tests and component floods take one OR / AND per
+point.  The carrier is capped at MAX_POINTS so masks stay a couple of machine
+words wide.
 """
 
 from .errors import CapacityError, CycleError, DomainError, NotADownSet, ParseError
@@ -44,12 +45,12 @@ class Poset:
     """Finite partial order. Immutable after construction.
 
     up[i] is the mask of all j with i <= j (including i itself); down[i] the
-    dual. labels is an optional tuple of per-point strings. parent_map, when
-    present, maps local indices back to the indices of the poset this one was
-    induced from.
+    dual; comparable[i] is up[i] | down[i]. labels is an optional tuple of
+    per-point strings. parent_map, when present, maps local indices back to
+    the indices of the poset this one was induced from.
     """
 
-    __slots__ = ("n", "up", "down", "labels", "parent_map")
+    __slots__ = ("n", "up", "down", "comparable", "labels", "parent_map")
 
     def __init__(self, up_rows, labels=None, parent_map=None):
         n = len(up_rows)
@@ -86,6 +87,7 @@ class Poset:
         object.__setattr__(self, "n", len(up))
         object.__setattr__(self, "up", up)
         object.__setattr__(self, "down", down)
+        object.__setattr__(self, "comparable", tuple(u | d for u, d in zip(up, down)))
         object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
         object.__setattr__(self, "parent_map", tuple(parent_map) if parent_map is not None else None)
 
@@ -207,20 +209,21 @@ class Poset:
         if mask is None:
             mask = self.carrier
         self._check(mask)
+        comparable = self.comparable
         rest = mask
         out = []
         while rest:
-            seed = rest & -rest
-            comp = seed
-            frontier = seed
-            while frontier:
-                grown = 0
-                for i in _bits(frontier):
-                    grown |= (self.up[i] | self.down[i]) & mask
-                frontier = grown & ~comp
+            # flood from the lowest point left; each point is expanded once
+            comp = todo = rest & -rest
+            rest ^= comp
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                grown = comparable[low.bit_length() - 1] & rest
+                rest ^= grown
+                todo |= grown
                 comp |= grown
             out.append(comp)
-            rest &= ~comp
         return out
 
 

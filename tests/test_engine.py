@@ -43,6 +43,32 @@ def test_count_multiplies_over_components():
     assert count_downsets(p) == 4 * 4
 
 
+def fence(n):
+    'zigzag 0 < 1 > 2 < 3 > ...: each point covers or is covered by its neighbours'
+    return from_covers(n, [(i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(n - 1)])
+
+
+def fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 128])
+def test_fence_counts_are_fibonacci(n):
+    # a down-set of a fence is fixed by which points it keeps, with no kept
+    # peak next to a dropped valley: d(fence(n)) = F(n + 2)
+    assert count_downsets(fence(n)) == fibonacci(n + 2)
+
+
+def test_closed_forms_at_the_point_cap():
+    'deep splits and masks wider than two machine words'
+    assert count_downsets(chain(128)) == 129
+    assert count_downsets(antichain(128)) == 2 ** 128
+    assert count_downsets(product(chain(4), chain(32))) == math.comb(36, 4)
+
+
 def test_enumerate_matches_count_and_is_sorted():
     p = boolean(3).lattice
     fam = enumerate_downsets(p)

@@ -15,6 +15,7 @@ from downsets import (
     poset_to_text,
     product,
 )
+from downsets.engine import _pivot
 from downsets.errors import NotADownSet
 from conftest import random_poset, random_submask
 
@@ -168,6 +169,53 @@ def test_components_split_on_comparability():
     s = direct_sum(chain(2), chain(3))
     assert sorted(s.components()) == [0b00011, 0b11100]
     assert chain(4).components() == [0b1111]
+
+
+def flood_components(p, mask):
+    'components of the comparability graph on mask, by breadth-first search over leq'
+    left = [i for i in range(p.n) if mask >> i & 1]
+    out = []
+    while left:
+        comp, queue = {left[0]}, [left[0]]
+        for i in queue:
+            for j in left:
+                if j not in comp and (p.leq(i, j) or p.leq(j, i)):
+                    comp.add(j)
+                    queue.append(j)
+        left = [i for i in left if i not in comp]
+        out.append(sum(1 << i for i in comp))
+    return sorted(out)
+
+
+def test_comparability_rows_are_up_or_down():
+    rng = random.Random(31)
+    for _ in range(40):
+        p = random_poset(rng, 12, density=rng.choice([0.1, 0.3, 0.6]))
+        for q in (p, p.induced(random_submask(rng, p.carrier)), p.dual()):
+            assert q.comparable == tuple(u | d for u, d in zip(q.up, q.down))
+
+
+def test_components_match_a_breadth_first_search():
+    rng = random.Random(32)
+    for _ in range(60):
+        p = random_poset(rng, 12, density=rng.choice([0.05, 0.1, 0.3]))
+        mask = random_submask(rng, p.carrier)
+        assert sorted(p.components(mask)) == flood_components(p, mask)
+
+
+def test_pivot_is_a_point_of_the_mask():
+    rng = random.Random(33)
+    for _ in range(60):
+        p = random_poset(rng, 12, density=rng.choice([0.1, 0.3, 0.6]))
+        mask = random_submask(rng, p.carrier)
+        if mask:
+            assert mask >> _pivot(p, mask) & 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 63])
+def test_pivot_balances_the_split_on_a_chain(k):
+    # on chain(2k + 1) only the middle point removes k + 1 points either way
+    assert _pivot(chain(2 * k + 1), (1 << 2 * k + 1) - 1) == k
 
 
 def test_text_format_round_trip():
