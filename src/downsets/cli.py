@@ -18,6 +18,7 @@ import sys
 
 from .boolean import boolean, dedekind_standard, dedekind_via_theorem2, sub_poset
 from .engine import (
+    DEFAULT_ENUM_LIMIT,
     chain_product_count,
     count_downsets,
     count_via_decomposition,
@@ -28,7 +29,6 @@ from .errors import CapacityError, DomainError, MissingInput, ParseError
 from .isoclasses import representation_system
 from .methods import (
     _gamma_pivot,
-    _subsets,
     bmm5_gamma,
     bmm5_iso,
     bmm5_nu,
@@ -42,7 +42,7 @@ from .methods import (
     middle_counts,
     table7,
 )
-from .poset import _popcount, poset_from_text, from_covers
+from .poset import _popcount, _subsets, poset_from_text, from_covers
 
 
 B_SMALL = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7581, 6: 7828354}
@@ -66,7 +66,7 @@ def _build_parser():
                    help="decompose over these point indices and report term statistics")
     c.add_argument("--dot", action="store_true",
                    help="emit the transitive reduction as a DOT digraph instead")
-    c.add_argument("--limit", type=int, default=1 << 24,
+    c.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT,
                    help="cap on enumerated decomposition terms")
 
     d = sub.add_parser("dedekind", parents=[common], help="compute a Dedekind number")

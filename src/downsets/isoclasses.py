@@ -2,9 +2,10 @@
 down-sets of the 20-point middle region on 5 atoms.
 
 Canonical forms: per connected component, an ordered partition of the points
-starts from (longest chain below, up-degree, down-degree) colors and is
-refined to equitability; the search then repeatedly singles out one point of
-the first non-singleton cell and re-refines, so branching stays close to the
+starts from (up-degree, down-degree) colors and is refined to equitability,
+each point keyed by its cell and the cells of its strict up- and
+down-neighbours; the search then repeatedly singles out one point of the
+first non-singleton cell and re-refines, so branching stays close to the
 automorphism count.  Among all discrete partitions reached this way, the
 lexicographically least packed relation matrix is the certificate.  The
 certificate of a poset is the sorted tuple of its component certificates, so
@@ -20,9 +21,9 @@ inside one class, and one canonical form per orbit decides which orbits merge.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .engine import coordinate_automorphisms, enumerate_downsets, orbits
+from .engine import coordinate_automorphisms, orbits
 from .errors import CapacityError, StructureError
-from .poset import _bits, _popcount, _relabel
+from .poset import _bits, _popcount, _relabel, _subsets
 
 CANON_MAX_POINTS = 24
 
@@ -30,39 +31,25 @@ CANON_MAX_POINTS = 24
 # -- canonical forms -------------------------------------------------------
 
 
-def _height(p, mask):
-    'per point of mask: longest chain strictly below, within mask'
-    h = {}
-    order = sorted(_bits(mask), key=lambda i: _popcount(p.down[i] & mask))
-    for i in order:
-        below = p.down[i] & mask & ~(1 << i)
-        h[i] = 1 + max((h[j] for j in _bits(below)), default=-1)
-    return h
-
-
-def _equitable(up_loc, dn_loc, cells):
+def _equitable(up_nb, dn_nb, cells):
     """Refine an ordered partition (list of local bitmasks) until every cell
-    sees every other cell uniformly.  Splitting keys use cell indices and
-    neighbor counts only, so the result is relabel-invariant."""
-    k = len(up_loc)
+    sees every other cell uniformly.  A point's splitting key is its cell
+    plus the sorted cells of its strict up- and down-neighbours, so the
+    result is relabel-invariant."""
+    k = len(up_nb)
     while True:
         cell_of = [0] * k
         for ci, cell in enumerate(cells):
             for v in _bits(cell):
                 cell_of[v] = ci
-        sig = []
-        for v in range(k):
-            prof = []
-            for ci, cell in enumerate(cells):
-                cu = _popcount(up_loc[v] & cell)
-                cd = _popcount(dn_loc[v] & cell)
-                if cu or cd:
-                    prof.append((ci, cu, cd))
-            sig.append((cell_of[v], tuple(prof)))
         buckets = {}
         for v in range(k):
-            buckets.setdefault(sig[v], 0)
-            buckets[sig[v]] |= 1 << v
+            key = (
+                cell_of[v],
+                tuple(sorted(cell_of[w] for w in up_nb[v])),
+                tuple(sorted(cell_of[w] for w in dn_nb[v])),
+            )
+            buckets[key] = buckets.get(key, 0) | 1 << v
         new = [buckets[key] for key in sorted(buckets)]
         if len(new) == len(cells):
             return cells
@@ -73,17 +60,14 @@ def _component_certificate(p, mask):
     points = list(_bits(mask))
     k = len(points)
     pos = {q: idx for idx, q in enumerate(points)}
-    # strict up and down rows in local indexing
+    # strict up and down rows in local indexing, and the same as index lists
     up_loc = [_relabel(p.up[a] & mask & ~(1 << a), pos) for a in points]
     dn_loc = [_relabel(p.down[a] & mask & ~(1 << a), pos) for a in points]
+    up_nb = [list(_bits(row)) for row in up_loc]
+    dn_nb = [list(_bits(row)) for row in dn_loc]
 
-    h = _height(p, mask)
-    first = {}
-    for v in range(k):
-        key = (h[points[v]], _popcount(up_loc[v]), _popcount(dn_loc[v]))
-        first.setdefault(key, 0)
-        first[key] |= 1 << v
-    cells = _equitable(up_loc, dn_loc, [first[key] for key in sorted(first)])
+    # refining the one-cell partition first splits it by (up-degree, down-degree)
+    cells = _equitable(up_nb, dn_nb, [(1 << k) - 1])
 
     # true twins (same strict up- and down-sets) are interchangeable, so one
     # member per twin class is enough at each individualization step
@@ -122,7 +106,7 @@ def _component_certificate(p, mask):
                 continue
             tried.add(twin[v])
             split = cells[:target] + [1 << v, cells[target] & ~(1 << v)] + cells[target + 1:]
-            search(_equitable(up_loc, dn_loc, split))
+            search(_equitable(up_nb, dn_nb, split))
 
     search(cells)
     return bytes([k]) + b"".join(r.to_bytes((k + 7) // 8, "big") for r in best[0])
@@ -159,18 +143,6 @@ def strip_isolated(p):
     return p.induced(p.carrier & ~iso), _popcount(iso)
 
 
-def _upper_lower(q23, mask):
-    'split a point set of the two-level poset by level'
-    uppers = 0
-    lowers = 0
-    for i in _bits(mask):
-        if q23.down[i] & ~(1 << i):
-            uppers |= 1 << i
-        else:
-            lowers |= 1 << i
-    return uppers, lowers
-
-
 def _has_crown(q23, uppers, lowers):
     """Induced 4 + 4 sub-poset whose comparability graph is a single
     8-cycle: each chosen lower under exactly two chosen uppers, each chosen
@@ -183,27 +155,11 @@ def _has_crown(q23, uppers, lowers):
         up_mask = sum(1 << u for u in four_up)
         cands = [l for l in lows if _popcount(q23.up[l] & up_mask) == 2]
         for four_low in combinations(cands, 4):
-            deg = {u: 0 for u in four_up}
-            for l in four_low:
-                for u in _bits(q23.up[l] & up_mask):
-                    deg[u] += 1
-            if any(d != 2 for d in deg.values()):
-                continue
-            # degree-2 bipartite on 4+4 vertices is one 8-cycle or two
-            # 4-cycles; walk from one lower and count the steps to close
-            start = four_low[0]
-            cur, is_lower, prev, steps = start, True, None, 0
-            while True:
-                if is_lower:
-                    nbrs = list(_bits(q23.up[cur] & up_mask))
-                else:
-                    nbrs = [l for l in four_low if (q23.up[l] >> cur) & 1]
-                nxt = nbrs[0] if nbrs[0] != prev else nbrs[1]
-                prev, cur, is_lower = cur, nxt, not is_lower
-                steps += 1
-                if is_lower and cur == start:
-                    break
-            if steps == 8:
+            # a degree-2 bipartite graph on 4 + 4 points is one 8-cycle or
+            # two 4-cycles, and only the latter has two lowers under the
+            # same two uppers
+            nbhds = [q23.up[l] & up_mask for l in four_low]
+            if len(set(nbhds)) == 4 and all(sum(n >> u & 1 for n in nbhds) == 2 for u in four_up):
                 return True
     return False
 
@@ -213,7 +169,8 @@ def type_code(q23, core_mask):
     c_j lower points covered by exactly j of them.  Two codes are ambiguous
     and get a -0/-1 digit: 4-440 splits on containing an 8-crown, 6-442 on
     whether every upper point sits over some triply-covered lower point."""
-    uppers, lowers = _upper_lower(q23, core_mask)
+    lows = q23.minimal_points()
+    uppers, lowers = core_mask & ~lows, core_mask & lows
     u = _popcount(uppers)
     c = [0, 0, 0, 0]
     for l in _bits(lowers):
@@ -266,18 +223,14 @@ def representation_system(q23):
     of arbitrary down-sets, since every down-set is a core plus free lower
     points and the pair determines the class.
 
-    The cores are split into orbits under coordinate_automorphisms(q23) and
-    one canonical form per orbit merges the orbits of a class; without such
-    automorphisms every core is its own orbit.
+    A core is the down-closure of its upper points, so the cores are built
+    as the down-closures of the subsets of upper points.  They are split
+    into orbits under coordinate_automorphisms(q23) and one canonical form
+    per orbit merges the orbits of a class; without such automorphisms every
+    core is its own orbit.
     """
-    fam = enumerate_downsets(q23)
-    lowers_all = q23.minimal_points()
-    cores = []
-    for mask in fam.members:
-        # a down-set with isolated lower points is a core plus free points
-        uppers, _ = _upper_lower(q23, mask)
-        if mask == (q23.down_closure(uppers) if uppers else 0):
-            cores.append(mask)
+    lows = q23.minimal_points()
+    cores = {q23.down_closure(ups) for ups in _subsets(q23.carrier & ~lows)}
     by_cert = {}
     for orbit in orbits(cores, coordinate_automorphisms(q23)):
         cert = canonical_form(q23.induced(orbit[0])).certificate
@@ -286,7 +239,7 @@ def representation_system(q23):
     for members in by_cert.values():
         members.sort()
         rep = members[0]
-        free = lowers_all & ~q23.down_closure(rep)
+        free = lows & ~rep
         records.append(
             IsoClassRecord(
                 representative=rep,
@@ -300,4 +253,3 @@ def representation_system(q23):
     records.sort(key=IsoClassRecord.sort_key)
     classes_all = [(idx, a) for idx, rec in enumerate(records) for a in range(rec.delta + 1)]
     return classes_all, records
-

@@ -29,8 +29,8 @@ from .engine import (
     containment_blocks, coordinate_automorphisms, count_downsets, decompose, enumerate_downsets,
 )
 from .errors import DomainError, NotADownSet, ShapeError, StructureError
-from .isoclasses import _upper_lower, representation_system, type_code
-from .poset import Poset, chain, product, _bits, _popcount, _relabel
+from .isoclasses import representation_system, type_code
+from .poset import Poset, chain, product, _bits, _popcount, _relabel, _subsets
 
 
 @dataclass
@@ -171,16 +171,6 @@ def _gamma_residual_class(mid, m_mask, n_mask):
     return c, a
 
 
-def _subsets(mask):
-    'all submasks, descending; includes mask itself and 0'
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def bmm5_gamma():
     """Digit-split sweep: pivot on the 8-point antichain from _gamma_pivot.
     Residual classes depend on the level-2 part N2 only through its size, so
@@ -317,7 +307,7 @@ def classify_inner_type(split, d_local):
     """Type code of the isolated-free core of a down-set of the bottom
     block, when it matters for the fringe count: "other" when the down-set
     has no upper points or its e-value is zero."""
-    uppers, _ = _upper_lower(split.q23, d_local)
+    uppers = d_local & ~split.q23.minimal_points()
     if not uppers:
         return "other"
     if e_of(split, split.q23.to_parent_mask(d_local)) == 0:
@@ -358,7 +348,7 @@ def build_sigma_precomp(split, rep, t1):
     if not q23.is_downset(rep):
         raise NotADownSet("representative is not a down-set of the bottom block")
     lowers_all = q23.minimal_points()
-    uppers, low_in = _upper_lower(q23, rep)
+    uppers = rep & ~lowers_all
     if q23.down_closure(uppers) != rep:
         raise StructureError("representative has isolated lower points")
     covered = rep & lowers_all

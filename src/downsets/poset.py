@@ -24,6 +24,16 @@ def _bits(mask):
         mask ^= low
 
 
+def _subsets(mask):
+    'all submasks, descending; includes mask itself and 0'
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
 def _relabel(mask, image):
     'point set {image[i] : i in mask}; image is a sequence or a dict indexed by point'
     out = 0

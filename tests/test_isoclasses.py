@@ -21,7 +21,7 @@ from downsets import (
     sub_poset,
     type_code,
 )
-from downsets.isoclasses import coordinate_automorphisms
+from downsets.isoclasses import _has_crown, coordinate_automorphisms
 from downsets.poset import popcount
 from conftest import random_poset
 from frozen import CATALOGUE
@@ -146,6 +146,20 @@ def test_suffix_codes_mark_distinct_classes(split, catalogue):
     assert len(by_code["6-442"]) == 2
     a, b = (q23.induced(r.representative) for r in by_code["4-440"])
     assert not are_isomorphic(a, b)
+
+
+# lowers 0..3 and uppers 4..7, as (lower, upper index among the uppers)
+CROWN_EDGES = {
+    "8-crown": [(i, i) for i in range(4)] + [(i, (i + 1) % 4) for i in range(4)],
+    "two K2,2": [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)],
+    "an upper of degree 3": [(0, 0), (0, 1), (1, 0), (1, 2), (2, 0), (2, 3), (3, 1), (3, 2)],
+}
+
+
+@pytest.mark.parametrize("shape, expected", [("8-crown", True), ("two K2,2", False), ("an upper of degree 3", False)])
+def test_has_crown_needs_one_eight_cycle(shape, expected):
+    p = from_covers(8, [(low, 4 + up) for low, up in CROWN_EDGES[shape]])
+    assert _has_crown(p, 0xF0, 0x0F) is expected
 
 
 def test_product_poset_isomorphic_to_relabeled_product():

@@ -17,6 +17,7 @@ from downsets import (
 )
 from downsets.engine import _pivot
 from downsets.errors import NotADownSet
+from downsets.poset import _subsets
 from conftest import random_poset, random_submask
 
 
@@ -216,6 +217,13 @@ def test_pivot_is_a_point_of_the_mask():
 def test_pivot_balances_the_split_on_a_chain(k):
     # on chain(2k + 1) only the middle point removes k + 1 points either way
     assert _pivot(chain(2 * k + 1), (1 << 2 * k + 1) - 1) == k
+
+
+@pytest.mark.parametrize("mask", [0, 1 << 5, random.Random(34).getrandbits(12)])
+def test_subsets_yield_every_submask_once_descending(mask):
+    expected = [sub for sub in range(mask, -1, -1) if sub & ~mask == 0]
+    assert list(_subsets(mask)) == expected
+    assert expected[0] == mask and expected[-1] == 0
 
 
 def test_text_format_round_trip():
