@@ -430,10 +430,7 @@ def main(argv=None):
             out, code = cmd_verify(args)
             sys.stdout.write(out)
             return code
-    except ParseError as exc:
-        sys.stderr.write("parse error: %s\n" % exc)
-        return 2
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         sys.stderr.write("parse error: %s\n" % exc)
         return 2
     except CapacityError as exc:

@@ -35,7 +35,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .errors import CapacityError, DomainError, NotADownSet, StructureError, TraceMismatch
-from .poset import Poset, _bits, _popcount, _relabel
+from .poset import Poset, _bits, _by_bytes, _byte_tables, _popcount, _relabel
 
 DEFAULT_ENUM_LIMIT = 1 << 24
 
@@ -331,40 +331,13 @@ def coordinate_automorphisms(p):
     return out
 
 
-def _byte_tables(perm):
-    """Per byte of a mask, the image under perm of every value that byte can
-    hold, so _by_bytes(mask, _byte_tables(perm)) == _relabel(mask, perm).
-
-    Each table is filled by subset doubling: adding bit b to the values
-    below 2**b adds the image of that bit.  The last table has only
-    2**(n mod 8) entries when n is not a multiple of 8, so a bit past the
-    last point of perm raises IndexError there.
-    """
-    tables = []
-    for lo in range(0, len(perm), 8):
-        table = [0]
-        for point in perm[lo : lo + 8]:
-            bit = 1 << point
-            table += [image | bit for image in table]
-        tables.append(table)
-    return tables
-
-
-def _by_bytes(mask, tables):
-    'image of a non-negative mask of at most 8 * len(tables) bits, one lookup per byte'
-    image = 0
-    for table in tables:
-        image |= table[mask & 255]
-        mask >>= 8
-    return image
-
-
 def orbits(masks, perms):
     """Orbits of the group generated by perms on a set of point masks, each
     listed from its least member, in ascending order of that member.
 
-    Each permutation is applied through its byte tables, built once per
-    call: ceil(n / 8) lookups per image instead of a loop over the bits.
+    Each permutation is applied through the byte tables of its rows
+    1 << perm[i], built once per call: ceil(n / 8) lookups per image instead
+    of a loop over the bits.
     DomainError for a member that is negative or has a point outside a
     permutation.  StructureError when a permutation maps a member outside
     the set: its orbit would then not be a part of the set, and orbit sizes
@@ -373,7 +346,7 @@ def orbits(masks, perms):
     members = set(masks)
     if members and perms and (min(members) < 0 or max(members) >> min(map(len, perms))):
         raise DomainError("a member has a point outside the permutations")
-    tables = [_byte_tables(perm) for perm in perms]
+    tables = [_byte_tables([1 << point for point in perm]) for perm in perms]
     seen = set()
     for start in sorted(members):
         if start in seen:

@@ -15,7 +15,8 @@ The catalogue does not certify every down-set.  Points of a region of the
 subset lattice carry their binary words as labels, and swapping two
 coordinates of every word is often an order automorphism.  Automorphisms
 preserve the isomorphism type, so each orbit of the group they generate lies
-inside one class, and one canonical form per orbit decides which orbits merge.
+inside one class, and one canonical form per orbit that shares its point
+count with another orbit decides which orbits merge.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from itertools import combinations
 
 from .engine import coordinate_automorphisms, orbits
 from .errors import CapacityError, StructureError
-from .poset import _bits, _popcount, _relabel, _subsets
+from .poset import _bits, _or_table, _popcount, _relabel
 
 CANON_MAX_POINTS = 24
 
@@ -71,23 +72,16 @@ def _component_certificate(p, mask):
 
     # true twins (same strict up- and down-sets) are interchangeable, so one
     # member per twin class is enough at each individualization step
-    twin = list(range(k))
-    for v in range(k):
-        if twin[v] == v:
-            for w in range(v + 1, k):
-                if up_loc[v] == up_loc[w] and dn_loc[v] == dn_loc[w]:
-                    twin[w] = v
+    first = {}
+    twin = [first.setdefault((up_loc[v], dn_loc[v]), v) for v in range(k)]
 
     best = [None]
 
     def leaf(discrete):
+        # row v of the packed matrix has the bit of the i-th point in order at k - 1 - i
         order = [(cell.bit_length() - 1) for cell in discrete]
-        rows = []
-        for v in order:
-            r = 0
-            for w in order:
-                r = (r << 1) | ((up_loc[v] >> w) & 1)
-            rows.append(r)
+        rank = {w: k - 1 - i for i, w in enumerate(order)}
+        rows = [_relabel(up_loc[v], rank) for v in order]
         if best[0] is None or rows < best[0]:
             best[0] = rows
 
@@ -223,18 +217,23 @@ def representation_system(q23):
     of arbitrary down-sets, since every down-set is a core plus free lower
     points and the pair determines the class.
 
-    A core is the down-closure of its upper points, so the cores are built
-    as the down-closures of the subsets of upper points.  They are split
-    into orbits under coordinate_automorphisms(q23) and one canonical form
-    per orbit merges the orbits of a class; without such automorphisms every
-    core is its own orbit.
+    A core is the down-closure of its upper points, so the cores are the
+    entries of one _or_table of the upper points' down rows.  They are split
+    into orbits under coordinate_automorphisms(q23), or each core is its own
+    orbit without such automorphisms; canonical forms merge the orbits.
     """
     lows = q23.minimal_points()
-    cores = {q23.down_closure(ups) for ups in _subsets(q23.carrier & ~lows)}
-    by_cert = {}
+    cores = set(_or_table([q23.down[u] for u in _bits(q23.carrier & ~lows)]))
+    by_size = {}
     for orbit in orbits(cores, coordinate_automorphisms(q23)):
-        cert = canonical_form(q23.induced(orbit[0])).certificate
-        by_cert.setdefault(cert, []).extend(orbit)
+        by_size.setdefault(_popcount(orbit[0]), []).append(orbit)
+    by_cert = {}
+    for size, group in by_size.items():
+        for orbit in group:
+            # a certificate starts with the point count, so an orbit alone at
+            # its size merges with no other and is keyed by the size instead
+            cert = canonical_form(q23.induced(orbit[0])).certificate if len(group) > 1 else size
+            by_cert.setdefault(cert, []).extend(orbit)
     records = []
     for members in by_cert.values():
         members.sort()

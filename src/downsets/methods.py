@@ -22,7 +22,6 @@ Five independent routes to the same two constants (6212 down-sets of the
 
 import time
 from dataclasses import dataclass, replace
-from itertools import combinations
 
 from .boolean import boolean, sub_poset
 from .engine import (
@@ -30,7 +29,7 @@ from .engine import (
 )
 from .errors import DomainError, NotADownSet, ShapeError, StructureError
 from .isoclasses import representation_system, type_code
-from .poset import Poset, chain, product, _bits, _popcount, _relabel, _subsets
+from .poset import Poset, chain, product, _bits, _by_bytes, _byte_tables, _or_table, _popcount, _relabel, _subsets
 
 
 @dataclass
@@ -59,7 +58,8 @@ class QSplit:
 
     Flipping the first digit is a shift by 32: m23 << 32 == m34, and for x
     in the bottom and y in the top block, x < y iff x | 32 <= y.  q23 is the
-    bottom block as a poset, its parent indices being words.
+    bottom block as a poset, its parent indices being words.  The closure
+    in e_of is the OR of e_rows over the points of a q23-local mask.
     """
     lattice: Poset
     m23: int
@@ -68,6 +68,8 @@ class QSplit:
     e4: int
     q23: Poset
     q23_lowers: dict  # q23-local index of each bottom-level point -> its bit among the 10
+    e_rows: tuple     # e2 & down(w | 32) per q23 point w
+    upper_fringe: tuple  # the class-independent part of build_sigma_precomp, see _upper_fringe
 
 
 def build_qsplit():
@@ -76,14 +78,18 @@ def build_qsplit():
     lv = ctx.levels
     m23 = (lv[2] | lv[3]) & low
     q23 = ctx.lattice.induced(m23)
+    e2 = lv[2] & ~low
+    e_rows = tuple(ctx.lattice.down[w | 32] & e2 for w in q23.parent_map)
     return QSplit(
         lattice=ctx.lattice,
         m23=m23,
         m34=(lv[3] | lv[4]) & ~low,
-        e2=lv[2] & ~low,
+        e2=e2,
         e4=lv[4] & low,
         q23=q23,
         q23_lowers={i: b for b, i in enumerate(_bits(q23.minimal_points()))},
+        e_rows=e_rows,
+        upper_fringe=_upper_fringe(q23, e2, e_rows),
     )
 
 
@@ -108,13 +114,24 @@ def e_of(split, y_mask):
     return _popcount(split.e2 & ~split.lattice.down_closure(y_mask << 32))
 
 
+def fringe_counts(split, members):
+    """(e, t): e_of and t_of of the parent of each q23-local mask, as ORs
+    of e-rows over the mask and of t-rows e4 & up(w) over its complement."""
+    e_tables = _byte_tables(split.e_rows)
+    t_tables = _byte_tables([split.lattice.up[w] & split.e4 for w in split.q23.parent_map])
+    full = split.q23.carrier
+    e = [_popcount(split.e2 & ~_by_bytes(m, e_tables)) for m in members]
+    t = [_popcount(split.e4 & ~_by_bytes(full & ~m, t_tables)) for m in members]
+    return e, t
+
+
 def build_T0_T1(split):
     """1024-entry tables over subsets Y of the bottom-level points:
     T0[Y] = 2^e(Y), T1[Y] = sum of T0 over subsets of Y (zeta transform)."""
-    words = [split.q23.parent_map[i] for i in split.q23_lowers]  # word of each index bit
-    t0 = [1 << e_of(split, _relabel(m, words)) for m in range(1 << len(words))]
+    rows = [split.e_rows[i] for i in split.q23_lowers]  # e-row of each index bit
+    t0 = [1 << _popcount(split.e2 & ~covered) for covered in _or_table(rows)]
     t1 = list(t0)
-    for d in range(len(words)):
+    for d in range(len(rows)):
         bit = 1 << d
         for m in range(len(t1)):
             if m & bit:
@@ -288,9 +305,8 @@ def bmm6_lemma2_reference(split):
 
     t0 = time.perf_counter()
     fam = enumerate_downsets(split.q23)
-    base_masks = [split.q23.to_parent_mask(m) for m in fam.members]
-    weights = np.asarray([1 << e_of(split, bm) for bm in base_masks], dtype=np.int64)
-    t_vec = [t_of(split, bm) for bm in base_masks]
+    e_vec, t_vec = fringe_counts(split, fam.members)
+    weights = np.asarray([1 << e for e in e_vec], dtype=np.int64)
     sigma = np.zeros(len(fam), dtype=np.int64)
     pairs = 0
     for start, inside in containment_blocks(fam.members):
@@ -308,9 +324,7 @@ def classify_inner_type(split, d_local):
     block, when it matters for the fringe count: "other" when the down-set
     has no upper points or its e-value is zero."""
     uppers = d_local & ~split.q23.minimal_points()
-    if not uppers:
-        return "other"
-    if e_of(split, split.q23.to_parent_mask(d_local)) == 0:
+    if not uppers or e_of(split, split.q23.to_parent_mask(d_local)) == 0:
         return "other"
     return type_code(split.q23, split.q23.down_closure(uppers))
 
@@ -342,6 +356,54 @@ class SigmaPrecomp:
     t1: list
 
 
+def _upper_fringe(q23, e2, e_rows):
+    """(groups, qualifying) over all upper points of the bottom block q23:
+    groups[u] is (g1[u], g2[u]) of every SigmaPrecomp, and qualifying maps
+    each upper set of two to four points with positive e (a q23 mask) to its
+    compatible lower point, for a pair, or to 0.  A point's e-row covers the
+    e-rows below it, so e of any closure is an upper-subset OR of e-rows.
+    """
+    lowers_all = q23.minimal_points()
+    ups = list(_bits(q23.carrier & ~lowers_all))
+    masks = _or_table([1 << u for u in ups])
+    e_ors = _or_table([e_rows[u] for u in ups])
+    belows = _or_table([q23.down[u] & lowers_all for u in ups])
+
+    def e(rows_or):
+        return _popcount(e2 & ~rows_or)
+
+    groups = {}
+    qualifying = {}
+    for m in range(1, len(masks)):
+        size, e_or, below = _popcount(m), e_ors[m], belows[m]
+        if size == 1:
+            if e(e_or) != 2:
+                raise StructureError("single-upper core has e = %d, expected 2" % e(e_or))
+            # an outside lower with e = 1 leaves one of u's two free digits
+            # alive; lowers leaving the same digit cover the same e-points
+            found = {}
+            for z in _bits(lowers_all & ~below):
+                covered = e_or | e_rows[z]
+                if e(covered) == 1:
+                    found[covered] = found.get(covered, 0) | 1 << z
+                elif e(covered):
+                    raise StructureError("outside lower keeps e at %d" % e(covered))
+            if sorted(map(_popcount, found.values())) != [3, 3]:
+                raise StructureError("expected two disjoint 3-point groups per upper point")
+            groups[masks[m].bit_length() - 1] = tuple(found.values())
+        elif e(e_or) == 0:
+            continue
+        else:
+            # a qualifying pair covers 5 lowers and admits one compatible
+            # lower, a triple or quadruple covers 6 and admits none
+            cands = [1 << z for z in _bits(lowers_all & ~below) if e(e_or | e_rows[z])]
+            if size > 4 or (_popcount(below), len(cands)) != ((5, 1) if size == 2 else (6, 0)):
+                raise StructureError("qualifying upper %d-set covers %d lowers and admits %d compatible ones"
+                                     % (size, _popcount(below), len(cands)))
+            qualifying[masks[m]] = sum(cands)
+    return groups, qualifying
+
+
 def build_sigma_precomp(split, rep, t1):
     'the SigmaPrecomp of a core; t1 is the subset-sum table of build_T0_T1'
     q23 = split.q23
@@ -352,77 +414,19 @@ def build_sigma_precomp(split, rep, t1):
     if q23.down_closure(uppers) != rep:
         raise StructureError("representative has isolated lower points")
     covered = rep & lowers_all
-
-    def e_loc(mask):
-        return e_of(split, q23.to_parent_mask(mask))
-
-    g1 = {}
-    g2 = {}
-    for u in _bits(uppers):
-        du = q23.down[u]
-        if e_loc(du) != 2:
-            raise StructureError("single-upper core has e = %d, expected 2" % e_loc(du))
-        outside = lowers_all & ~du
-        groups = []
-        dead = 0
-        for z in _bits(outside):
-            ez = e_loc(du | 1 << z)
-            if ez == 0:
-                dead += 1
-                continue
-            if ez != 1:
-                raise StructureError("outside lower keeps e at %d" % ez)
-            for g in groups:
-                if e_loc(du | 1 << z | (g & -g)) == 1:
-                    break
-            else:
-                g = None
-            if g is None:
-                groups.append(1 << z)
-            else:
-                groups[groups.index(g)] |= 1 << z
-        if len(groups) != 2 or sorted(_popcount(g) for g in groups) != [3, 3]:
-            raise StructureError("expected two disjoint 3-point groups per upper point")
-        if groups[0] & groups[1] or dead != _popcount(outside) - 6:
-            raise StructureError("inconsistent group split")
-        g1[u], g2[u] = groups
-
-    pair_g = []
-    n34 = 0
-    ups = list(_bits(uppers))
-    for size in range(2, len(ups) + 1):
-        for vs in combinations(ups, size):
-            dv = 0
-            for u in vs:
-                dv |= q23.down[u]
-            if e_loc(dv) == 0:
-                continue
-            if size == 2:
-                if _popcount(dv & lowers_all) != 5:
-                    raise StructureError("qualifying pair covers %d lowers, expected 5" % _popcount(dv & lowers_all))
-                cands = [z for z in _bits(lowers_all & ~dv) if e_loc(dv | 1 << z) > 0]
-                if len(cands) != 1:
-                    raise StructureError("expected a single compatible lower for a qualifying pair")
-                pair_g.append(1 << cands[0])
-            elif size in (3, 4):
-                if _popcount(dv & lowers_all) != 6:
-                    raise StructureError("qualifying %d-set covers %d lowers, expected 6" % (size, _popcount(dv & lowers_all)))
-                if any(e_loc(dv | 1 << z) > 0 for z in _bits(lowers_all & ~dv)):
-                    raise StructureError("qualifying %d-set admits a compatible lower" % size)
-                n34 += 1
-            else:
-                raise StructureError("an upper %d-set keeps a positive e-value" % size)
-
+    groups, qualifying = split.upper_fringe
+    ups = tuple(_bits(uppers))
+    inside = [g for vs, g in qualifying.items() if not vs & ~uppers]
     return SigmaPrecomp(
         rep=rep,
-        uppers=tuple(ups),
+        uppers=ups,
         covered=covered,
         free=lowers_all & ~covered,
         down_count=count_downsets(q23, rep),
-        g1=g1,
-        g2=g2,
-        pair_g=tuple(pair_g),
-        n34=n34,
+        g1={u: groups[u][0] for u in ups},
+        g2={u: groups[u][1] for u in ups},
+        pair_g=tuple(g for g in inside if g),
+        n34=inside.count(0),
         t1=t1,
     )
 

@@ -25,8 +25,8 @@ from downsets import (
     product,
     sub_poset,
 )
-from downsets.engine import _by_bytes, _byte_tables, containment_blocks, coordinate_automorphisms, orbits
-from downsets.poset import _relabel
+from downsets.engine import containment_blocks, coordinate_automorphisms, orbits
+from downsets.poset import _by_bytes, _byte_tables, _or_table, _relabel
 from conftest import random_poset, random_submask
 
 
@@ -258,19 +258,24 @@ def test_orbits_reject_a_set_the_permutations_leave():
         list(orbits([0b0001, 0b0011], [swap]))
 
 
-@pytest.mark.parametrize("n", [5, 20, 50, 128])
+@pytest.mark.parametrize("n", [0, 5, 8, 16, 20, 50, 128])
 def test_byte_tables_relabel_like_the_bit_loop(n):
+    'OR tables of relabel rows and of closure rows against the bit loops'
     rng = random.Random(n)
     perm = list(range(n))
     rng.shuffle(perm)
-    tables = _byte_tables(perm)
+    p = from_covers(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 3 / n])
     full = (1 << n) - 1
     masks = [0, full] + [1 << i for i in range(n)] + [rng.getrandbits(n) for _ in range(200)]
-    for mask in masks:
-        assert _by_bytes(mask, tables) == _relabel(mask, perm)
-    if n % 8:
-        with pytest.raises(IndexError):  # the last table holds only the points of perm
-            _by_bytes(1 << n, tables)
+    for rows, loop in [([1 << point for point in perm], lambda mask: _relabel(mask, perm)),
+                       (p.down, p.down_closure), (p.up, p.up_closure)]:
+        assert _or_table(rows[:8]) == [loop(mask) for mask in range(1 << min(n, 8))]
+        tables = _byte_tables(rows)
+        for mask in masks:
+            assert _by_bytes(mask, tables) == loop(mask)
+        with pytest.raises(IndexError):  # no table holds a point past the rows
+            _by_bytes((1 << n) | full, tables)
+    assert _or_table([]) == [0]
 
 
 def test_orbits_reject_members_outside_the_permutations():

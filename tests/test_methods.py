@@ -26,7 +26,7 @@ from downsets import (
     sigma_reference,
     t_of,
 )
-from downsets.methods import _gamma_pivot, gamma_residual_multiset
+from downsets.methods import _gamma_pivot, fringe_counts, gamma_residual_multiset
 from downsets.poset import bits, popcount
 from conftest import random_poset, random_submask
 from frozen import (
@@ -103,6 +103,10 @@ def test_fringe_counters_match_word_formulas(split, q23_members):
         assert e_of(split, y) == 5 - popcount(union)
         assert t_of(split, y) == popcount(inter)
         assert s_of(split, y << 32) == e_of(split, y)
+    # the bulk values, from byte tables of e- and t-rows, agree with the closures
+    parents = [q23.to_parent_mask(local) for local in q23_members]
+    assert fringe_counts(split, q23_members) == ([e_of(split, y) for y in parents],
+                                                 [t_of(split, y) for y in parents])
 
 
 def test_fringe_counter_monotone(split):
@@ -119,6 +123,9 @@ def test_subset_sum_tables(split, tables):
     assert t0[0] == t1[0] == 32
     assert t1[1023] == sum(t0) == 1450
     assert all(b >= a for a, b in zip(t0, t1))
+    words = [split.q23.parent_map[i] for i in split.q23_lowers]
+    assert t0 == [1 << e_of(split, sum(1 << w for b, w in enumerate(words) if y >> b & 1))
+                  for y in range(1024)]
 
 
 # -- 5-atom routes -----------------------------------------------------------

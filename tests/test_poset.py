@@ -15,7 +15,7 @@ from downsets import (
     poset_to_text,
     product,
 )
-from downsets.engine import _pivot
+from downsets.engine import _branching_number, _pivot
 from downsets.errors import NotADownSet
 from downsets.poset import _subsets
 from conftest import random_poset, random_submask
@@ -217,6 +217,16 @@ def test_pivot_is_a_point_of_the_mask():
 def test_pivot_balances_the_split_on_a_chain(k):
     # on chain(2k + 1) only the middle point removes k + 1 points either way
     assert _pivot(chain(2 * k + 1), (1 << 2 * k + 1) - 1) == k
+
+
+def test_equal_branching_numbers_round_to_one_double():
+    'the lowest-index pivot rule needs genuine ties to compare equal'
+    # x**2 + x**3 - 1 divides x + x**5 - 1, so t**-2k + t**-3k and t**-k + t**-5k share the root
+    for k in range(1, 12):
+        assert _branching_number(2 * k, 3 * k) == _branching_number(k, 5 * k)
+    for a in range(1, 12):
+        for b in range(1, 12):
+            assert _branching_number(a, b) == _branching_number(b, a)
 
 
 @pytest.mark.parametrize("mask", [0, 1 << 5, random.Random(34).getrandbits(12)])
