@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 verification failure, 2 parse error, 3 capacity error,
 """
 
 import argparse
+import functools
 import json as jsonlib
 import random
 import sys
@@ -40,7 +41,6 @@ from .methods import (
     class_parameters,
     gamma_residual_multiset,
     middle_counts,
-    table7,
 )
 from .poset import _popcount, _subsets, poset_from_text, from_covers
 
@@ -264,137 +264,129 @@ def _check_ladder():
     _expect(ladder.b == B_SMALL, ladder.b)
 
 
+def _check_standard():
+    for n in range(2, 7):
+        run = dedekind_standard(n)
+        _expect(run.value == B_SMALL[n], (n, run.value))
+        if n == 5:
+            _expect(run.summands == 210, run.summands)
+        if n == 6:
+            _expect(run.summands == 14196, run.summands)
+
+
+def _check_nu():
+    rep = bmm5_nu()
+    _expect(tuple(rep.table) == NU_ROW, rep.table)
+    _expect(sum(rep.table) == 1024)
+    _expect(rep.value == 6212, rep.value)
+
+
+def _check_gamma():
+    rep = bmm5_gamma()
+    _expect(rep.evaluations == 80, rep.evaluations)
+    for row in rep.table["rows"]:
+        _expect(sum(row) == 16, row)
+    _expect(rep.value == 6212, rep.value)
+
+
+def _check_mu():
+    rep = bmm6_mu()
+    grid = rep.table
+    _expect(grid[0][0] == 165980, grid[0][0])
+    _expect(sum(sum(row) for row in grid) == 1 << 20)
+    for i in range(16):
+        for j in range(16):
+            _expect(grid[i][j] == grid[j][i], (i, j))
+    _expect(rep.value == 7741776, rep.value)
+
+
+def _check_decomposition():
+    b3 = boolean(3)
+    counts = sorted(t.residual_count for t in decompose(b3.lattice, b3.levels[1]))
+    _expect(counts == [1, 1, 1, 2, 2, 2, 2, 9], counts)
+    _expect(sum(counts) == 20)
+
+
+def _check_random_sample():
+    rng = random.Random(20260815)
+    for _ in range(200):
+        p = _random_poset(rng, 10)
+        direct = count_downsets(p)
+        _expect(direct == len(enumerate_downsets(p)))
+        m_mask = 0
+        for i in range(p.n):
+            if rng.random() < 0.5:
+                m_mask |= 1 << i
+        _expect(direct == count_via_decomposition(p, m_mask))
+
+
+def _check_gamma_uniformity():
+    reference = {}
+    for n2 in _subsets(_gamma_pivot()[1]):
+        key = _popcount(n2)
+        got = gamma_residual_multiset(n2)
+        if key in reference:
+            _expect(got == reference[key], key)
+        else:
+            reference[key] = got
+
+
 def _run_checks(strict):
-    checks = []
-
-    def add(name, fn):
-        checks.append((name, fn))
-
-    add("ladder", _check_ladder)
-
-    def check_standard():
-        for n in range(2, 7):
-            run = dedekind_standard(n)
-            _expect(run.value == B_SMALL[n], (n, run.value))
-            if n == 5:
-                _expect(run.summands == 210, run.summands)
-            if n == 6:
-                _expect(run.summands == 14196, run.summands)
-
-    add("standard", check_standard)
-
-    def check_nu():
-        rep = bmm5_nu()
-        _expect(tuple(rep.table) == NU_ROW, rep.table)
-        _expect(sum(rep.table) == 1024)
-        _expect(rep.value == 6212, rep.value)
-
-    add("nu", check_nu)
-
-    def check_gamma():
-        rep = bmm5_gamma()
-        _expect(rep.evaluations == 80, rep.evaluations)
-        for row in rep.table["rows"]:
-            _expect(sum(row) == 16, row)
-        _expect(rep.value == 6212, rep.value)
-
-    add("gamma", check_gamma)
-
-    def check_mu():
-        rep = bmm6_mu()
-        grid = rep.table
-        _expect(grid[0][0] == 165980, grid[0][0])
-        _expect(sum(sum(row) for row in grid) == 1 << 20)
-        for i in range(16):
-            for j in range(16):
-                _expect(grid[i][j] == grid[j][i], (i, j))
-        _expect(rep.value == 7741776, rep.value)
-
-    add("mu", check_mu)
-
+    'the (name, check) pairs of one verify run, in printed order'
     split = build_qsplit()
+
+    @functools.cache
+    def catalogue():
+        'records of the q23 catalogue and their bmm6_iso report, built once per run'
+        classes_all, records = representation_system(split.q23)
+        return classes_all, records, bmm6_iso(split, records)
 
     def check_lemma2():
         rep = bmm6_lemma2_reference(split)
         _expect(rep.value == 7741776, rep.value)
         _expect(rep.table["inner_terms"] == 3933651, rep.table)
 
-    add("lemma2", check_lemma2)
-
     def check_product_identity():
         _expect(chain_product_count(2, split.q23) == 3933651)
 
-    add("product-identity", check_product_identity)
-
     def check_catalogue():
-        classes_all, records = representation_system(split.q23)
+        classes_all, records, report = catalogue()
         _expect(len(records) == 34, len(records))
         _expect(len(classes_all) == 91, len(classes_all))
         _expect(sum(rec.iota for rec in records) == 1024)
         _expect(bmm5_iso(records).value == 6212)
-        report = bmm6_iso(split, records)
         _expect(report.value == 7741776, report.value)
         _expect(report.evaluations == 272, report.evaluations)
-        spent = sum(
-            3 ** rec.delta * row["downsets_below"]
-            for rec, row in zip(records, report.table)
-        )
+        spent = sum(3 ** row["delta"] * row["downsets_below"] for row in report.table)
         _expect(spent == 208099, spent)
 
-    add("catalogue", check_catalogue)
+    def check_class_constancy():
+        # a sampled non-representative member must reproduce its class row
+        rng = random.Random(4057)
+        _, records, report = catalogue()
+        t1 = build_T0_T1(split)[1]
+        for rec, row in zip(records, report.table):
+            copy = rec.representative
+            others = [m for m in rec.members if m != rec.representative]
+            if others:
+                copy = rng.choice(others)
+            got = class_parameters(split, copy, t1)
+            _expect(got == {key: row[key] for key in got}, (rec.type_code, got))
 
-    def check_decomposition():
-        b3 = boolean(3)
-        counts = sorted(t.residual_count for t in decompose(b3.lattice, b3.levels[1]))
-        _expect(counts == [1, 1, 1, 2, 2, 2, 2, 9], counts)
-        _expect(sum(counts) == 20)
-
-    add("decomposition", check_decomposition)
-
-    def check_random_sample():
-        rng = random.Random(20260815)
-        for _ in range(200):
-            p = _random_poset(rng, 10)
-            direct = count_downsets(p)
-            _expect(direct == len(enumerate_downsets(p)))
-            m_mask = 0
-            for i in range(p.n):
-                if rng.random() < 0.5:
-                    m_mask |= 1 << i
-            _expect(direct == count_via_decomposition(p, m_mask))
-
-    add("random-sample", check_random_sample)
-
+    checks = [
+        ("ladder", _check_ladder),
+        ("standard", _check_standard),
+        ("nu", _check_nu),
+        ("gamma", _check_gamma),
+        ("mu", _check_mu),
+        ("lemma2", check_lemma2),
+        ("product-identity", check_product_identity),
+        ("catalogue", check_catalogue),
+        ("decomposition", _check_decomposition),
+        ("random-sample", _check_random_sample),
+    ]
     if strict:
-
-        def check_class_constancy():
-            rng = random.Random(4057)
-            _, bare = representation_system(split.q23)
-            records = table7(split, bare)
-            t1 = build_T0_T1(split)[1]
-            for rec in records:
-                copy = rec.representative
-                others = [m for m in rec.members if m != rec.representative]
-                if others:
-                    copy = rng.choice(others)
-                got = class_parameters(split, copy, t1)
-                want = {key: getattr(rec, key) for key in got}
-                _expect(got == want, (rec.type_code, got))
-
-        add("class-constancy", check_class_constancy)
-
-        def check_gamma_uniformity():
-            reference = {}
-            for n2 in _subsets(_gamma_pivot()[1]):
-                key = _popcount(n2)
-                got = gamma_residual_multiset(n2)
-                if key in reference:
-                    _expect(got == reference[key], key)
-                else:
-                    reference[key] = got
-
-        add("gamma-uniformity", check_gamma_uniformity)
-
+        checks += [("class-constancy", check_class_constancy), ("gamma-uniformity", _check_gamma_uniformity)]
     return checks
 
 

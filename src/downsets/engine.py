@@ -235,7 +235,7 @@ def phi_inverse(p, m_mask, n_mask, d_residual):
     return d_residual | p.down_closure(n_mask)
 
 
-def chain_product_count(n, q, limit=DEFAULT_ENUM_LIMIT):
+def chain_product_count(n, q):
     """d(chain(n) x q) through the down-set lattice of q.
 
     A down-set of chain(n) x q is a weakly increasing n-tuple of down-sets of
@@ -246,7 +246,7 @@ def chain_product_count(n, q, limit=DEFAULT_ENUM_LIMIT):
         raise DomainError("negative chain length %d" % n)
     if n == 0:
         return 1
-    fam = enumerate_downsets(q, limit=limit)
+    fam = enumerate_downsets(q)
     if n == 1:
         return len(fam)
     if n == 2:

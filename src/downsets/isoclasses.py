@@ -186,17 +186,14 @@ def type_code(q23, core_mask):
 
 @dataclass
 class IsoClassRecord:
-    'one class of isolated-free down-sets of the 20-point middle region'
+    """One class of isolated-free down-sets of the 20-point middle region;
+    its t, sigma and inner-sum cells are its row of methods.table7."""
     representative: int      # down-set mask, local to the two-level poset
     type_code: str
     iota: int                # number of copies among the down-sets
     delta: int               # number of free lower points
     delta_mask: int          # free lower points of the representative
     members: tuple           # all copies, as masks
-    t_val: int = None
-    sigma_val: int = None
-    downclosure_count: int = None
-    inner_sum: int = None
 
     def sort_key(self):
         u, rest = self.type_code.split("-", 1)

@@ -21,7 +21,7 @@ Five independent routes to the same two constants (6212 down-sets of the
 """
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .boolean import boolean, sub_poset
 from .engine import (
@@ -45,7 +45,7 @@ class MethodReport:
 # -- the four-block split of the 6-atom middle region -----------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QSplit:
     """The 50-point middle region on 6 atoms split by level and first digit.
 
@@ -60,6 +60,7 @@ class QSplit:
     in the bottom and y in the top block, x < y iff x | 32 <= y.  q23 is the
     bottom block as a poset, its parent indices being words.  The closure
     in e_of is the OR of e_rows over the points of a q23-local mask.
+    A split compares and hashes by identity, so it can key a cache.
     """
     lattice: Poset
     m23: int
@@ -286,10 +287,8 @@ def bmm6_mu():
     )
 
 
-def sigma_reference(split, n_local, members=None):
-    'defining inner sum: 2^e over every down-set of q23 contained in the given one'
-    if members is None:
-        members = enumerate_downsets(split.q23).members
+def sigma_reference(split, n_local, members):
+    'defining inner sum: 2^e over every down-set of q23 in members that lies inside n_local'
     total = 0
     for m in members:
         if m & ~n_local == 0:
@@ -452,23 +451,27 @@ def sigma_fast(split, rep, a_mask, precomp):
 
 
 def class_parameters(split, core, t1):
-    """The t, sigma, containment count and inner-sum entries of the catalogue
-    row of an isolated-free down-set of the bottom block; t1 is the
-    subset-sum table of build_T0_T1."""
+    """The t, sigma, down-sets-below and inner-sum cells of the table row of
+    an isolated-free down-set of the bottom block, under their printed keys
+    and in printed order; t1 is the subset-sum table of build_T0_T1."""
     pre = build_sigma_precomp(split, core, t1)
     return {
-        "t_val": t_of(split, split.q23.to_parent_mask(core)),
-        "sigma_val": sigma_fast(split, core, 0, pre),
-        "downclosure_count": pre.down_count,
+        "t": t_of(split, split.q23.to_parent_mask(core)),
+        "sigma": sigma_fast(split, core, 0, pre),
+        "downsets_below": pre.down_count,
         "inner_sum": sum(sigma_fast(split, core, a_mask, pre) for a_mask in _subsets(pre.free)),
     }
 
 
 def table7(split, records):
-    """The catalogue records with t, sigma, containment count and inner sum
-    filled in by class_parameters, in catalogue order."""
+    """The iso table: one row per catalogue record, in catalogue order, with
+    its code, iota and delta followed by the class_parameters cells."""
     t1 = build_T0_T1(split)[1]
-    return [replace(rec, **class_parameters(split, rec.representative, t1)) for rec in records]
+    return [
+        {"code": rec.type_code, "iota": rec.iota, "delta": rec.delta,
+         **class_parameters(split, rec.representative, t1)}
+        for rec in records
+    ]
 
 
 def bmm6_iso(split, records=None):
@@ -476,26 +479,14 @@ def bmm6_iso(split, records=None):
     iota(R) * 2^t(R) * sum_{A subset of the free lowers} sigma(A + R).
     Upper-free terms come straight out of the subset-sum table; the
     evaluation counter counts closed-form sigma calls on upper-bearing
-    down-sets only."""
+    down-sets only.  The table is the table7 rows."""
     t0 = time.perf_counter()
     if records is None:
         _, records = representation_system(split.q23)
-    records = table7(split, records)
-    value = sum(rec.iota * (rec.inner_sum << rec.t_val) for rec in records)
+    rows = table7(split, records)
+    value = sum(row["iota"] * (row["inner_sum"] << row["t"]) for row in rows)
     # a nonempty core has upper points
     evaluations = sum(1 << rec.delta for rec in records if rec.representative)
-    rows = [
-        {
-            "code": rec.type_code,
-            "iota": rec.iota,
-            "delta": rec.delta,
-            "t": rec.t_val,
-            "sigma": rec.sigma_val,
-            "downsets_below": rec.downclosure_count,
-            "inner_sum": rec.inner_sum,
-        }
-        for rec in records
-    ]
     return MethodReport(
         method="iso", value=value, table=rows,
         evaluations=evaluations, wall_time=time.perf_counter() - t0,

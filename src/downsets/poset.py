@@ -426,13 +426,3 @@ def poset_to_text(p):
     for i, j in p.covers():
         lines.append("cover %d %d" % (i, j))
     return "\n".join(lines) + "\n"
-
-
-def popcount(mask):
-    'number of set bits'
-    return _popcount(mask)
-
-
-def bits(mask):
-    'ascending set bit positions'
-    return _bits(mask)

@@ -22,8 +22,13 @@ def tables(split):
 
 @pytest.fixture(scope="session")
 def catalogue(split):
-    classes_all, records = representation_system(split.q23)
-    return classes_all, table7(split, records)
+    return representation_system(split.q23)
+
+
+@pytest.fixture(scope="session")
+def iso_table(split, catalogue):
+    'the table7 rows of the catalogue records, one per record'
+    return table7(split, catalogue[1])
 
 
 @pytest.fixture(scope="session")

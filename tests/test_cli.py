@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -7,9 +8,9 @@ import subprocess
 import pytest
 
 import downsets
-from downsets import boolean, poset_to_text, sub_poset
+from downsets import StructureError, boolean, poset_to_text, sub_poset
 from downsets import cli
-from downsets.poset import popcount
+from downsets.poset import _popcount
 from conftest import random_poset
 from frozen import CATALOGUE, MU_GRID, NU_ROW
 
@@ -52,7 +53,7 @@ def middle5_file(tmp_path_factory):
 
 def upper_level_pivot():
     mid = sub_poset(boolean(5), "middle")
-    return ",".join(str(i) for i in range(mid.n) if popcount(mid.parent_map[i]) == 3)
+    return ",".join(str(i) for i in range(mid.n) if _popcount(mid.parent_map[i]) == 3)
 
 
 # -- count ---------------------------------------------------------------------
@@ -330,6 +331,36 @@ def test_verify_strict_passes(capsys):
     assert all(line.startswith("ok   ") for line in lines[:-1])
 
 
+def test_verify_strict_builds_the_catalogue_once(capsys, monkeypatch):
+    'the catalogue and class-constancy checks share one catalogue build'
+    calls = []
+    build = cli.representation_system
+
+    def counted(q23):
+        calls.append(q23)
+        return build(q23)
+
+    monkeypatch.setattr(cli, "representation_system", counted)
+    code, out, _ = run(["verify", "--strict"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "12 checks, 0 failed"
+    assert len(calls) == 1
+
+
+def test_a_failed_catalogue_build_fails_each_check_that_shares_it(capsys, monkeypatch):
+    def broken(q23):
+        raise StructureError("no catalogue")
+
+    run_checks = cli._run_checks
+    shared = ("catalogue", "class-constancy")
+    monkeypatch.setattr(cli, "representation_system", broken)
+    monkeypatch.setattr(cli, "_run_checks", lambda strict: [c for c in run_checks(strict) if c[0] in shared])
+    code, out, _ = run(["verify", "--strict"], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL catalogue: no catalogue", "FAIL class-constancy: no catalogue", "2 checks, 2 failed"]
+
+
 def test_verify_reports_an_injected_fault(capsys, monkeypatch):
     monkeypatch.setattr(cli, "NU_ROW", (1,) * 11)
     code, out, _ = run(["verify"], capsys)
@@ -357,6 +388,19 @@ def test_verify_fails_under_python_O():
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("FAIL nu:")
     assert lines[-1] == "1 checks, 1 failed"
+
+
+def test_package_has_no_assert_statements():
+    'python -O strips assert statements, so no check in the package may be one'
+    src = os.path.dirname(downsets.__file__)
+    modules = sorted(name for name in os.listdir(src) if name.endswith(".py"))
+    assert "cli.py" in modules and "methods.py" in modules
+    found = []
+    for name in modules:
+        with open(os.path.join(src, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=name)
+        found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 # -- output determinism --------------------------------------------------------------

@@ -12,6 +12,7 @@ from downsets import (
     bmm6_iso,
     bmm6_lemma2_reference,
     bmm6_mu,
+    build_qsplit,
     build_sigma_precomp,
     chain_product_count,
     class_parameters,
@@ -27,7 +28,7 @@ from downsets import (
     t_of,
 )
 from downsets.methods import _gamma_pivot, fringe_counts, gamma_residual_multiset
-from downsets.poset import bits, popcount
+from downsets.poset import _bits, _popcount
 from conftest import random_poset, random_submask
 from frozen import (
     BMM5,
@@ -54,20 +55,28 @@ def test_split_partitions_the_region(split):
         union |= b
     middle = sum(1 << w for w in range(64) if 2 <= bin(w).count("1") <= 4)
     assert union == middle
-    assert split.q23.n == 20 and split.q23.parent_map == tuple(bits(split.m23))
+    assert split.q23.n == 20 and split.q23.parent_map == tuple(_bits(split.m23))
     assert len(split.q23_lowers) == 10
+
+
+def test_split_hashes_by_identity(split):
+    'a split holds dicts, yet it can key a cache; equality is identity'
+    cache = {split: "cached"}
+    assert cache[split] == "cached"
+    assert hash(split) == hash(split)
+    assert split != build_qsplit()
 
 
 def test_flip_map_shape(split):
     assert split.m23 << 32 == split.m34
-    assert all(w < 32 for w in bits(split.m23))
+    assert all(w < 32 for w in _bits(split.m23))
 
 
 def test_flip_map_carries_the_order(split):
     lat = split.lattice
-    for x in bits(split.m23):
+    for x in _bits(split.m23):
         assert lat.leq(x, x | 32)
-        for y in bits(split.m34):
+        for y in _bits(split.m34):
             strictly_below = lat.leq(x, y) and x != y
             assert strictly_below == lat.leq(x | 32, y)
 
@@ -96,12 +105,12 @@ def test_fringe_counters_match_word_formulas(split, q23_members):
         y = q23.to_parent_mask(local)
         union = 0
         inter = 31
-        for w in bits(y):
+        for w in _bits(y):
             union |= w
-        for w in bits(split.m23 & ~y):
+        for w in _bits(split.m23 & ~y):
             inter &= w
-        assert e_of(split, y) == 5 - popcount(union)
-        assert t_of(split, y) == popcount(inter)
+        assert e_of(split, y) == 5 - _popcount(union)
+        assert t_of(split, y) == _popcount(inter)
         assert s_of(split, y << 32) == e_of(split, y)
     # the bulk values, from byte tables of e- and t-rows, agree with the closures
     parents = [q23.to_parent_mask(local) for local in q23_members]
@@ -230,17 +239,16 @@ def test_iso_route_on_six_atoms(split, catalogue):
     assert got == list(CATALOGUE)
 
 
-def test_reference_term_count_identity(catalogue):
+def test_reference_term_count_identity(iso_table):
     # each class representative, evaluated once per free-lower subset by the
     # defining sum, touches 3^delta * (down-sets below R) inner terms
-    _, records = catalogue
-    assert sum(3**r.delta * r.downclosure_count for r in records) == 208099
+    assert sum(3**r["delta"] * r["downsets_below"] for r in iso_table) == 208099
 
 
 # -- closed-form sigma -------------------------------------------------------
 
 
-def test_precomp_shapes(split, tables, catalogue):
+def test_precomp_shapes(split, tables, catalogue, iso_table):
     _, records = catalogue
     by_code = {r.type_code: r for r in records}
     empty = build_sigma_precomp(split, by_code["0-000"].representative, tables[1])
@@ -253,10 +261,10 @@ def test_precomp_shapes(split, tables, catalogue):
     assert one.g1[u] & one.g2[u] == 0
     assert (one.g1[u] | one.g2[u]) & ~one.free == 0
     assert one.down_count == 9
-    for rec in records:
+    for rec, row in zip(records, iso_table):
         pre = build_sigma_precomp(split, rec.representative, tables[1])
         assert len(pre.uppers) == int(rec.type_code.split("-")[0])
-        assert pre.down_count == rec.downclosure_count
+        assert pre.down_count == row["downsets_below"]
 
 
 def test_precomp_rejects_non_downsets(split, tables):
@@ -288,24 +296,24 @@ def test_sigma_fast_rejects_non_free_points(split, tables, catalogue):
         sigma_fast(split, rec.representative ^ covered_bit, 0, pre)
 
 
-def test_class_parameters_are_label_independent(split, tables, catalogue):
+def test_class_parameters_are_label_independent(split, tables, catalogue, iso_table):
     'any member of a class reproduces the row of its representative'
     _, records = catalogue
     rng = random.Random(7)
     q23 = split.q23
-    for rec in rng.sample(list(records), 8):
+    for rec, row in rng.sample(list(zip(records, iso_table)), 8):
         member = rng.choice(rec.members)
         pre = build_sigma_precomp(split, member, tables[1])
-        assert pre.down_count == rec.downclosure_count
-        assert t_of(split, q23.to_parent_mask(member)) == rec.t_val
-        assert sigma_fast(split, member, 0, pre) == rec.sigma_val
+        assert pre.down_count == row["downsets_below"]
+        assert t_of(split, q23.to_parent_mask(member)) == row["t"]
+        assert sigma_fast(split, member, 0, pre) == row["sigma"]
 
 
-def test_class_parameters_match_the_catalogue_and_reject_isolated_points(split, tables, catalogue):
+def test_class_parameters_match_the_catalogue_and_reject_isolated_points(split, tables, catalogue, iso_table):
     _, records = catalogue
-    for rec in records:
+    for rec, row in zip(records, iso_table):
         got = class_parameters(split, rec.representative, tables[1])
-        assert got == {key: getattr(rec, key) for key in got}
+        assert got == {key: row[key] for key in got}
     rec = next(r for r in records if r.type_code == "1-300")
     with pytest.raises(StructureError):
         class_parameters(split, rec.representative | (rec.delta_mask & -rec.delta_mask), tables[1])
