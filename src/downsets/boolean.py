@@ -164,9 +164,9 @@ def theorem2_residual_shape(n, n_mask):
     up(atoms - N) | down(N) leaves: the bottom point alone when N is empty,
     nothing when |N| = 1, and a copy of the upper region of the |N|-atom
     lattice otherwise.  The k >= 2 case is verified by compressing the
-    surviving words onto the chosen atoms and comparing relation matrices
-    with a freshly built upper region; the tags are returned only after that
-    check passes.
+    surviving words onto the chosen atoms and comparing words and induced
+    order with a freshly built upper region; the tags are returned only
+    after that check passes.
     """
     ctx = boolean(n)
     atoms = ctx.levels[1] if n >= 1 else 0
@@ -186,17 +186,15 @@ def theorem2_residual_shape(n, n_mask):
         return "empty"
     # each surviving word is supported on the chosen atoms and has at least 2
     # ones; compressing it onto their digits, ascending, gives a word of B(k)
+    # and keeps word order, so induced() relabels like the compression
     support = sum(_bits(n_mask))
     digit_pos = {a.bit_length() - 1: pos for pos, a in enumerate(_bits(n_mask))}
     reference = sub_poset(boolean(k), "upper")
-    ref_pos = {word: i for i, word in enumerate(reference.parent_map)}
-    perm = {}
-    for word in _bits(rest):
-        if word & ~support:
-            raise StructureError("survivor outside chosen atoms")
-        perm[word] = ref_pos.get(_relabel(word, digit_pos))
-    if None in perm.values() or sorted(perm.values()) != list(range(reference.n)):
+    words = list(_bits(rest))
+    if any(word & ~support for word in words):
+        raise StructureError("survivor outside chosen atoms")
+    if [_relabel(word, digit_pos) for word in words] != list(reference.parent_map):
         raise StructureError("residual points do not match the expected upper region")
-    if any(_relabel(lattice.up[x] & rest, perm) != reference.up[y] for x, y in perm.items()):
+    if lattice.induced(rest) != reference:
         raise StructureError("residual is not the expected upper region")
     return "upper(%d)" % k

@@ -240,26 +240,21 @@ def chain_product_count(n, q):
 
     A down-set of chain(n) x q is a weakly increasing n-tuple of down-sets of
     q, so the count is the n-th containment-power of D(q): start from all-ones
-    and repeatedly replace f(N) with the sum of f over down-sets below N.
+    over the k down-sets and apply containment_sums n - 1 times.  Every
+    partial sum is at most k**n, so the vector is int64 when k**n < 2**63
+    and Python ints otherwise, exact either way.
     """
     if n < 0:
         raise DomainError("negative chain length %d" % n)
     if n == 0:
         return 1
-    fam = enumerate_downsets(q)
-    if n == 1:
-        return len(fam)
-    if n == 2:
-        # second containment power needs only the below counts
-        below_counts, _ = containment_counts(fam)
-        return sum(below_counts)
-    below = []
-    for _, inside in containment_blocks(fam.members):
-        below.extend(row.nonzero()[0] for row in inside)
-    f = [1] * len(fam)
+    import numpy as np
+
+    members = enumerate_downsets(q).members
+    f = np.ones(len(members), dtype=np.int64 if len(members) ** n < 1 << 63 else object)
     for _ in range(n - 1):
-        f = [sum(f[j] for j in idx) for idx in below]
-    return sum(f)
+        f = containment_sums(members, f)
+    return int(f.sum())
 
 
 def containment_blocks(members):
@@ -281,6 +276,16 @@ def containment_blocks(members):
     for start in range(0, k, step):
         block = arr[start : start + step, None]
         yield start, (arr[None, :] & ~block) == 0
+
+
+def containment_sums(members, f):
+    """Per member, the sum of f over the members it contains: the
+    concatenated inside @ f of the containment_blocks blocks.  f is a
+    vector, or a matrix whose columns are summed the same way; an object
+    array of Python ints sums exactly."""
+    import numpy as np
+
+    return np.concatenate([inside @ f for _, inside in containment_blocks(members)])
 
 
 def containment_counts(fam):

@@ -403,6 +403,25 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_modules_use_every_import():
+    'a name imported by a module other than __init__.py is used in it, so deletions leave no dead import'
+    src = os.path.dirname(downsets.__file__)
+    modules = sorted(name for name in os.listdir(src) if name.endswith(".py") and name != "__init__.py")
+    assert "engine.py" in modules and "methods.py" in modules
+    unused = []
+    for name in modules:
+        with open(os.path.join(src, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=name)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append("%s:%d %s" % (name, node.lineno, bound))
+    assert unused == []
+
+
 # -- output determinism --------------------------------------------------------------
 
 

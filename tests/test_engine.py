@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from downsets import (
@@ -25,7 +26,7 @@ from downsets import (
     product,
     sub_poset,
 )
-from downsets.engine import containment_blocks, coordinate_automorphisms, orbits
+from downsets.engine import containment_blocks, containment_sums, coordinate_automorphisms, orbits
 from downsets.poset import _by_bytes, _byte_tables, _or_table, _relabel
 from conftest import random_poset, random_submask
 
@@ -170,7 +171,8 @@ def test_containment_counts_small():
 
 
 def test_containment_counts_match_a_double_loop():
-    'B3, and a family of more than 256 members wider than 63 bits'
+    """B3, and a family of more than 256 members wider than 63 bits; the
+    sums of Python-int weights past 2**63 stay exact"""
     b3 = enumerate_downsets(boolean(3).lattice)
     wide = enumerate_downsets(direct_sum(chain(7), chain(59)))
     assert len(wide) > 256 and max(wide.members) >= 1 << 63
@@ -179,6 +181,10 @@ def test_containment_counts_match_a_double_loop():
         below = [sum(1 for e in members if e & ~d == 0) for d in members]
         above = [sum(1 for d in members if e & ~d == 0) for e in members]
         assert containment_counts(fam) == (below, above)
+        weights = [(1 << 70) + i for i in range(len(members))]
+        sums = [[sum(w for e, w in zip(members, weights) if e & ~d == 0), b] for d, b in zip(members, below)]
+        columns = np.array([weights, [1] * len(members)], dtype=object).T
+        assert containment_sums(members, columns).tolist() == sums
 
 
 def test_containment_counts_over_many_blocks():
@@ -198,7 +204,7 @@ def test_containment_counts_over_many_blocks():
 def test_chain_product_count_past_63_bits():
     # chain(n) x (C7 + C59) splits into two grids, each a binomial count
     q = direct_sum(chain(7), chain(59))
-    for n in (2, 3):
+    for n in (2, 3, 20):
         assert chain_product_count(n, q) == math.comb(n + 7, 7) * math.comb(n + 59, 59)
 
 

@@ -14,14 +14,17 @@ from downsets import (
     bmm6_mu,
     build_qsplit,
     build_sigma_precomp,
+    chain,
     chain_product_count,
     class_parameters,
     classify_inner_type,
+    count_downsets,
     e_of,
     from_covers,
     enumerate_downsets,
     lemma1_check,
     middle_counts,
+    product,
     s_of,
     sigma_fast,
     sigma_reference,
@@ -203,6 +206,7 @@ def test_reference_summation(split):
 
 def test_inner_terms_equal_chain_product_count(split):
     assert chain_product_count(2, split.q23) == PRODUCT_COUNT
+    assert chain_product_count(3, split.q23) == count_downsets(product(chain(3), split.q23)) == 537887125
 
 
 def test_inner_type_census(split, q23_members):
