@@ -29,6 +29,16 @@ with isomorphic residuals, so a sum of an invariant summand over a set the
 group maps onto itself is the sum over one representative per orbit, each
 times its orbit size.  coordinate_automorphisms finds such permutations for
 posets labelled by binary words; orbits splits a set of masks.
+
+Contained-pair sums use the zeta transform over the lattice of down-sets
+(Bjorklund et al., SODA 2012): for each point x, every down-set D with a
+down-set D - x adds the partial sum at D - x to its own.  After the passes
+for x_1..x_j of a linear extension, D holds the sum over the down-sets E
+inside D with D - E within {x_1..x_j}; an E that misses x_j lies inside
+D - x_j, a down-set, since a point of D above x_j would come later.  That is
+n passes of at most k additions for k down-sets on n points, not k**2 cells.
+Falling member count orders the points by a linear extension: for x < y,
+every down-set that holds y holds x, and down(x) holds x but not y.
 """
 
 import functools
@@ -240,9 +250,9 @@ def chain_product_count(n, q):
 
     A down-set of chain(n) x q is a weakly increasing n-tuple of down-sets of
     q, so the count is the n-th containment-power of D(q): start from all-ones
-    over the k down-sets and apply containment_sums n - 1 times.  Every
-    partial sum is at most k**n, so the vector is int64 when k**n < 2**63
-    and Python ints otherwise, exact either way.
+    over the k down-sets and apply the zeta transform containment_sums n - 1
+    times.  Every partial sum, inside a transform too, is at most k**n, so the
+    vector is int64 when k**n < 2**63 and Python ints otherwise, exact.
     """
     if n < 0:
         raise DomainError("negative chain length %d" % n)
@@ -257,46 +267,36 @@ def chain_product_count(n, q):
     return int(f.sum())
 
 
-def containment_blocks(members):
-    """Yield (start, inside) over consecutive row blocks of the containment
-    matrix: inside[r, c] is True when members[c] is contained in
-    members[start + r].
-
-    Blocks hold about 2**18 cells, so a block's int64 temporaries (2 MB)
-    stay in cache; 2**22-cell blocks (32 MB) made the scan of B5's 7581
-    down-sets about 1.4x slower.  Masks below 2**63 are scanned as int64,
-    wider ones as Python ints in an object array, so any width is exact.
-    """
-    import numpy as np
-
-    k = len(members)
-    wide = k > 0 and max(members) >= 1 << 63
-    arr = np.asarray(members, dtype=object if wide else np.int64)
-    step = max(1, (1 << 18) // max(k, 1))
-    for start in range(0, k, step):
-        block = arr[start : start + step, None]
-        yield start, (arr[None, :] & ~block) == 0
-
-
 def containment_sums(members, f):
-    """Per member, the sum of f over the members it contains: the
-    concatenated inside @ f of the containment_blocks blocks.  f is a
-    vector, or a matrix whose columns are summed the same way; an object
-    array of Python ints sums exactly."""
+    """Per member, the sum of f (a vector, or a matrix summed by columns) over
+    the members it contains, by the zeta transform of the module docstring.
+    members are all down-sets of one poset, ascending, as enumerate_downsets
+    returns them.  Masks below 2**63 are searched as int64, wider ones as
+    Python ints; an object array f sums exactly, and each partial sum is a
+    sub-sum of the final one."""
     import numpy as np
 
-    return np.concatenate([inside @ f for _, inside in containment_blocks(members)])
+    top = members[-1] if len(members) else 0
+    arr = np.asarray(members, dtype=object if top >= 1 << 63 else np.int64)
+    g = np.array(f)
+    for x in sorted(_bits(top), key=lambda i: -np.count_nonzero(arr & (1 << i))):
+        held = np.flatnonzero(arr & (1 << x))
+        rest = arr[held] - (1 << x)
+        at = np.searchsorted(arr, rest)
+        hit = arr[at] == rest
+        g[held[hit]] += g[at[hit]]
+    return g
 
 
 def containment_counts(fam):
-    """Per member: how many members it contains and how many contain it."""
-    import numpy as np
-
-    below = np.zeros(len(fam.members), dtype=np.int64)
-    above = np.zeros(len(fam.members), dtype=np.int64)
-    for start, inside in containment_blocks(fam.members):
-        below[start : start + len(inside)] = inside.sum(axis=1)
-        above += inside.sum(axis=0)
+    """Per member: how many members it contains and how many contain it.
+    members are all down-sets of one poset, ascending, as enumerate_downsets
+    returns them; their complements within the union, the down-sets of the
+    dual, ascend in reverse order and give the second count."""
+    top = fam.members[-1] if len(fam) else 0
+    ones = [1] * len(fam)
+    below = containment_sums(fam.members, ones)
+    above = containment_sums([top - d for d in reversed(fam.members)], ones)[::-1]
     return below.tolist(), above.tolist()
 
 

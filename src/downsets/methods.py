@@ -307,8 +307,7 @@ def bmm6_lemma2_reference(split):
     t0 = time.perf_counter()
     members = enumerate_downsets(split.q23).members
     e_vec, t_vec = fringe_counts(split, members)
-    # two transposed rows: contiguous columns make the block products faster
-    columns = np.asarray([[1 << e for e in e_vec], [1] * len(e_vec)], dtype=np.int64).T
+    columns = np.column_stack([np.left_shift(1, e_vec), np.ones(len(e_vec), dtype=np.int64)])
     sums = containment_sums(members, columns)
     pairs = int(sums[:, 1].sum())
     value = sum(s << t for s, t in zip(sums[:, 0].tolist(), t_vec))

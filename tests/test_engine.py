@@ -8,6 +8,7 @@ from downsets import (
     CapacityError,
     DomainError,
     NotADownSet,
+    Poset,
     StructureError,
     TraceMismatch,
     antichain,
@@ -26,7 +27,7 @@ from downsets import (
     product,
     sub_poset,
 )
-from downsets.engine import containment_blocks, containment_sums, coordinate_automorphisms, orbits
+from downsets.engine import containment_sums, coordinate_automorphisms, orbits
 from downsets.poset import _by_bytes, _byte_tables, _or_table, _relabel
 from conftest import random_poset, random_submask
 
@@ -187,14 +188,41 @@ def test_containment_counts_match_a_double_loop():
         assert containment_sums(members, columns).tolist() == sums
 
 
-def test_containment_counts_over_many_blocks():
-    'B5: 7581 down-sets in blocks of about 2**18 cells, against the counter'
+def test_containment_sums_on_shuffled_points():
+    """Seeded random posets with shuffled point indices, so index order is no
+    linear extension, and the 0-point poset: a vector, an int64 matrix and an
+    object matrix past 2**63, each against a double loop"""
+    rng = random.Random(1414)
+    posets = [Poset([])]
+    for _ in range(40):
+        p = random_poset(rng, 8, density=rng.choice([0.2, 0.4]))
+        perm = rng.sample(range(p.n), p.n)
+        rows = [0] * p.n
+        for i in range(p.n):
+            rows[perm[i]] = _relabel(p.up[i], perm)
+        posets.append(Poset(rows))
+    assert any(q.up[i] & ((1 << i) - 1) for q in posets for i in range(q.n))
+    for q in posets:
+        fam = enumerate_downsets(q)
+        members, k = fam.members, len(fam)
+        vector = np.array([rng.randrange(100) for _ in range(k)], dtype=np.int64)
+        small = np.array([[rng.randrange(1000) for _ in range(3)] for _ in range(k)], dtype=np.int64)
+        wide = np.array([[(1 << 64) + rng.randrange(1 << 70), 1] for _ in range(k)], dtype=object)
+        for f in (vector, small, wide):
+            rows = f.reshape(k, -1).tolist()
+            loop = [[sum(col) for col in zip(*(r for r, e in zip(rows, members) if e & ~d == 0))]
+                    for d in members]
+            assert containment_sums(members, f).reshape(k, -1).tolist() == loop
+        below = [sum(1 for e in members if e & ~d == 0) for d in members]
+        above = [sum(1 for d in members if e & ~d == 0) for e in members]
+        assert containment_counts(fam) == (below, above)
+    assert enumerate_downsets(posets[0]).members == (0,)
+
+
+def test_containment_counts_on_b5():
+    'B5: 7581 down-sets, against the counter'
     lattice = boolean(5).lattice
     fam = enumerate_downsets(lattice)
-    starts = [(start, len(inside)) for start, inside in containment_blocks(fam.members)]
-    assert len(starts) > 200
-    assert [start for start, _ in starts] == [0] + [start + rows for start, rows in starts[:-1]]
-    assert sum(rows for _, rows in starts) == len(fam)
     memo = {}
     below = [count_downsets(lattice, d, memo) for d in fam]
     above = [count_downsets(lattice, lattice.carrier & ~d, memo) for d in fam]
