@@ -15,7 +15,6 @@ Region selectors for sub_poset name the retained level range:
 
 import math
 import time
-from dataclasses import dataclass
 
 from .engine import containment_counts, coordinate_automorphisms, enumerate_downsets, orbits
 from .errors import CapacityError, DomainError, MissingInput, StructureError
@@ -24,12 +23,14 @@ from .poset import MAX_POINTS, Poset, _bits, _popcount, _relabel
 REGIONS = ("full", "upper", "lower", "middle")
 
 
-@dataclass(frozen=True)
 class BooleanContext:
     'subset lattice of an n-set plus its level masks'
-    n: int
-    lattice: Poset
-    levels: tuple  # levels[l] = mask of points with l ones
+    __slots__ = ("n", "lattice", "levels")
+
+    def __init__(self, n, lattice, levels):
+        self.n = n
+        self.lattice = lattice
+        self.levels = levels  # levels[l] = mask of points with l ones
 
 
 def boolean(n):
@@ -76,17 +77,19 @@ def sub_poset(ctx, which):
     raise DomainError("unknown region %r, expected one of %s" % (which, ", ".join(REGIONS)))
 
 
-@dataclass
 class DedekindLadder:
     """Down-set counts of the lattice and its trims, per atom count.
 
     bmm holds the supplied middle-region counts, bm the derived upper-region
     counts, b the full lattice counts.
     """
-    n: int
-    bmm: dict
-    bm: dict
-    b: dict
+    __slots__ = ("n", "bmm", "bm", "b")
+
+    def __init__(self, n, bmm, bm, b):
+        self.n = n
+        self.bmm = bmm
+        self.bm = bm
+        self.b = b
 
     @property
     def value(self):
@@ -115,13 +118,15 @@ def dedekind_via_theorem2(n, bmm):
     return DedekindLadder(n=n, bmm={k: bmm[k] for k in sorted(bmm) if 3 <= k <= n}, bm=bm, b=b)
 
 
-@dataclass
 class StandardRun:
     'result of the pairwise intersection-union summation'
-    n: int
-    value: int
-    summands: int
-    wall_time: float
+    __slots__ = ("n", "value", "summands", "wall_time")
+
+    def __init__(self, n, value, summands, wall_time):
+        self.n = n
+        self.value = value
+        self.summands = summands
+        self.wall_time = wall_time
 
 
 def dedekind_standard(n):

@@ -13,8 +13,8 @@ Exit codes: 0 ok, 1 verification failure, 2 parse error, 3 capacity error,
 
 import argparse
 import functools
+import importlib
 import json as jsonlib
-import random
 import sys
 
 from .boolean import boolean, dedekind_standard, dedekind_via_theorem2, sub_poset
@@ -27,22 +27,45 @@ from .engine import (
     enumerate_downsets,
 )
 from .errors import CapacityError, DomainError, MissingInput, ParseError
-from .isoclasses import representation_system
-from .methods import (
-    _gamma_pivot,
-    bmm5_gamma,
-    bmm5_iso,
-    bmm5_nu,
-    bmm6_iso,
-    bmm6_lemma2_reference,
-    bmm6_mu,
-    build_qsplit,
-    build_T0_T1,
-    class_parameters,
-    gamma_residual_multiset,
-    middle_counts,
-)
 from .poset import _popcount, _subsets, poset_from_text, from_covers
+
+
+# Names of the modules that only the middle-region routes, tables and verify
+# use.  _load_routes binds them into this module, and so does a first access
+# as an attribute (PEP 562), so `count` and `dedekind --method standard` never
+# import these modules.  A name already bound, as by a test's monkeypatch, is
+# kept.
+_LAZY = {
+    "isoclasses": ("representation_system",),
+    "methods": (
+        "_gamma_pivot",
+        "bmm5_gamma",
+        "bmm5_iso",
+        "bmm5_nu",
+        "bmm6_iso",
+        "bmm6_lemma2_reference",
+        "bmm6_mu",
+        "build_qsplit",
+        "build_T0_T1",
+        "class_parameters",
+        "gamma_residual_multiset",
+        "middle_counts",
+    ),
+}
+
+
+def _load_routes():
+    for module, names in _LAZY.items():
+        loaded = importlib.import_module("." + module, __package__)
+        for name in names:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name):
+    if any(name in names for names in _LAZY.values()):
+        _load_routes()
+        return globals()[name]
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 B_SMALL = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7581, 6: 7828354}
@@ -179,14 +202,15 @@ def _route(method, n):
 
 def _dedekind(n, method):
     'value and evaluation counter for one (n, method) request'
+    if method == "standard":
+        run = dedekind_standard(n)
+        return run.value, run.summands
+    _load_routes()
     if method == "theorem2":
         if not 0 <= n <= 6:
             raise DomainError("theorem2 ladder covers n = 0..6")
         bmm = middle_counts(n) if n >= 3 else {}
         return dedekind_via_theorem2(n, bmm).value, max(0, n - 2)
-    if method == "standard":
-        run = dedekind_standard(n)
-        return run.value, run.summands
     rep = _route(method, n)
     return dedekind_via_theorem2(n, {**middle_counts(n - 1), n: rep.value}).value, rep.evaluations
 
@@ -208,6 +232,7 @@ def cmd_dedekind(args):
 
 
 def cmd_tables(args):
+    _load_routes()
     table = _route(args.which, 5 if args.which in ("nu", "gamma") else 6).table
     if args.which == "nu":
         if args.format == "json":
@@ -308,6 +333,8 @@ def _check_decomposition():
 
 
 def _check_random_sample():
+    import random
+
     rng = random.Random(20260815)
     for _ in range(200):
         p = _random_poset(rng, 10)
@@ -362,6 +389,8 @@ def _run_checks(strict):
 
     def check_class_constancy():
         # a sampled non-representative member must reproduce its class row
+        import random
+
         rng = random.Random(4057)
         _, records, report = catalogue()
         t1 = build_T0_T1(split)[1]
@@ -391,6 +420,7 @@ def _run_checks(strict):
 
 
 def cmd_verify(args):
+    _load_routes()
     lines = []
     failed = 0
     for name, fn in _run_checks(args.strict):

@@ -42,18 +42,20 @@ every down-set that holds y holds x, and down(x) holds x but not y.
 """
 
 import functools
-from dataclasses import dataclass, field
+import math
 
 from .errors import CapacityError, DomainError, NotADownSet, StructureError, TraceMismatch
-from .poset import Poset, _bits, _by_bytes, _byte_tables, _popcount, _relabel
+from .poset import _bits, _by_bytes, _byte_tables, _popcount, _relabel
 
 DEFAULT_ENUM_LIMIT = 1 << 24
 
 
-@dataclass
 class DownSetFamily:
     'all down-sets of a poset, as masks sorted ascending by bit pattern'
-    members: tuple
+    __slots__ = ("members",)
+
+    def __init__(self, members):
+        self.members = members
 
     def __len__(self):
         return len(self.members)
@@ -62,7 +64,6 @@ class DownSetFamily:
         return iter(self.members)
 
 
-@dataclass
 class DecompositionTerm:
     """One summand of the trace decomposition: trace N and the residual
     p - (up(M - N) | down(N)) as the point set mask of the decomposed p.
@@ -72,11 +73,14 @@ class DecompositionTerm:
     the down-sets on mask through the memo all terms of one decomposition
     share.
     """
-    N: int
-    mask: int
-    weight: int = 1
-    _owner: Poset = field(default=None, repr=False, compare=False)
-    _memo: dict = field(default=None, repr=False, compare=False)
+    __slots__ = ("N", "mask", "weight", "_owner", "_memo")
+
+    def __init__(self, N, mask, weight=1, _owner=None, _memo=None):
+        self.N = N
+        self.mask = mask
+        self.weight = weight
+        self._owner = _owner
+        self._memo = _memo
 
     @property
     def residual_count(self):
@@ -85,21 +89,26 @@ class DecompositionTerm:
 
 @functools.cache
 def _branching_number(a, b):
-    """The root t > 1 of t**-a + t**-b == 1, by bisection on (1, 2].
+    """The root t > 1 of t**-a + t**-b == 1 for a, b >= 1: the least double t
+    with t**-a + t**-b <= 1, evaluated as written.
 
+    Newton's method from t = 1 climbs to the root from below, since the left
+    side falls and is convex in t.  nextafter steps then settle the last ulps
+    on exactly that least double, the one 64 halvings of (1, 2] would reach.
     A split into branches that remove a and b points needs at most about
     t**n leaves on n points, so the smaller t, the better the split.
     """
-    if a > b:
-        a, b = b, a
-    lo, hi = 1.0, 2.0
-    for _ in range(64):
-        mid = (lo + hi) / 2
-        if mid ** -a + mid ** -b > 1:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    t = 1.0
+    while True:
+        step = (t ** -a + t ** -b - 1) / (a * t ** (-a - 1) + b * t ** (-b - 1))
+        if t + step <= t:
+            break
+        t += step
+    while t ** -a + t ** -b > 1:
+        t = math.nextafter(t, 2.0)
+    while (below := math.nextafter(t, 1.0)) ** -a + below ** -b <= 1:
+        t = below
+    return t
 
 
 def _pivot(p, mask):

@@ -444,3 +444,66 @@ def test_console_entry_point(diamond_file):
         capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert proc.stdout == "6\n"
+
+
+# -- start-up ----------------------------------------------------------------------
+
+
+def child_lines(script, *args):
+    'stdout lines of script run in a fresh interpreter'
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, timeout=120, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_count_and_standard_load_only_the_modules_they_use(diamond_file):
+    'count needs no route, catalogue, numpy or dataclasses; dedekind --method standard no route'
+    script = (
+        "import sys\n"
+        "from downsets import cli\n"
+        "cli.main(['count', sys.argv[1]])\n"
+        "print(' '.join(sys.modules))\n"
+        "cli.main(['dedekind', '7', '--method', 'standard'])\n"
+        "print(' '.join(sys.modules))\n"
+    )
+    bare = set(child_lines("import sys; print(' '.join(sys.modules))")[0].split())
+    count_out, after_count, standard_out, _, after_standard = child_lines(script, diamond_file)
+    assert (count_out, standard_out) == ("6", "2414682040998")
+    after_count = set(after_count.split()) - bare
+    after_standard = set(after_standard.split()) - bare
+    assert {"downsets.cli", "downsets.engine"} <= after_count
+    assert after_count.isdisjoint({"downsets.methods", "downsets.isoclasses", "numpy", "dataclasses"})
+    assert after_standard.isdisjoint({"downsets.methods", "downsets.isoclasses"})
+
+
+def test_lazy_exports_resolve_in_a_fresh_interpreter():
+    script = (
+        "import sys, downsets\n"
+        "print('downsets.methods' in sys.modules, 'downsets.isoclasses' in sys.modules)\n"
+        "print(' '.join(sorted(set(downsets.__all__) - set(dir(downsets)))))\n"
+        "print(' '.join(n for n in downsets.__all__ if getattr(downsets, n, None) is None))\n"
+        "print(downsets.bmm5_nu is downsets.methods.bmm5_nu,\n"
+        "      downsets.type_code is downsets.isoclasses.type_code)\n"
+    )
+    assert child_lines(script) == ["False False", "", "", "True True"]
+    star = child_lines(
+        "import downsets\n"
+        "names = {}\n"
+        "exec('from downsets import *', names)\n"
+        "print(' '.join(sorted(set(downsets.__all__) - set(names))))\n"
+        "print(names['middle_counts'] is downsets.methods.middle_counts)\n"
+    )
+    assert star == ["", "True"]
+
+
+@pytest.mark.parametrize("first", ["downsets.methods", "downsets.isoclasses", "downsets.cli"])
+def test_boolean_stays_the_function_whatever_loads_first(first):
+    'the function boolean shares its name with its submodule, which must not rebind it'
+    script = (
+        "import %s\n"
+        "import downsets\n"
+        "downsets.methods\n"
+        "print(type(downsets.boolean(3)).__name__)\n" % first
+    )
+    assert child_lines(script) == ["BooleanContext"]

@@ -229,6 +229,26 @@ def test_equal_branching_numbers_round_to_one_double():
             assert _branching_number(a, b) == _branching_number(b, a)
 
 
+def test_branching_number_matches_bisection_bit_for_bit():
+    'pivots and their ties depend on the exact double, so Newton must land where bisection does'
+
+    def bisection(a, b):
+        if a > b:
+            a, b = b, a
+        lo, hi = 1.0, 2.0
+        for _ in range(64):
+            mid = (lo + hi) / 2
+            if mid ** -a + mid ** -b > 1:
+                lo = mid
+            else:
+                hi = mid
+        return hi
+
+    for a in range(1, 129):
+        for b in range(a, 129):
+            assert _branching_number(a, b) == bisection(a, b), (a, b)
+
+
 @pytest.mark.parametrize("mask", [0, 1 << 5, random.Random(34).getrandbits(12)])
 def test_subsets_yield_every_submask_once_descending(mask):
     expected = [sub for sub in range(mask, -1, -1) if sub & ~mask == 0]
