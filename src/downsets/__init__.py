@@ -22,7 +22,6 @@ from .boolean import (
 )
 from .engine import (
     DecompositionTerm,
-    DownSetFamily,
     chain_product_count,
     containment_counts,
     count_downsets,

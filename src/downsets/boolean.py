@@ -148,14 +148,14 @@ def dedekind_standard(n):
 
     t0 = time.perf_counter()
     ctx = boolean(n - 2)
-    fam = enumerate_downsets(ctx.lattice)
-    below, above = containment_counts(fam)
-    k = len(fam.members)
-    arr = np.asarray(fam.members, dtype=np.int64)
+    members = enumerate_downsets(ctx.lattice)
+    below, above = containment_counts(members)
+    k = len(members)
+    arr = np.asarray(members, dtype=np.int64)
     blw = np.asarray(below, dtype=np.int64)
     abv = np.asarray(above, dtype=np.int64)
     value = 0
-    for orbit in orbits(fam.members, coordinate_automorphisms(ctx.lattice)):
+    for orbit in orbits(members, coordinate_automorphisms(ctx.lattice)):
         rep = orbit[0]
         row = blw[np.searchsorted(arr, rep & arr)] * abv[np.searchsorted(arr, rep | arr)]
         value += len(orbit) * int(row.sum())

@@ -9,12 +9,16 @@ printed.
 
 Exit codes: 0 ok, 1 verification failure, 2 parse error, 3 capacity error,
 4 unsupported request.
+
+Each function that runs a middle-region route, a table or a verify check
+imports methods and isoclasses itself and calls through the module
+(methods.bmm5_nu()), and JSON output imports json in _json.  So `count` and
+`dedekind N --method standard` load none of them, and a name rebound on its
+module, by a test or a tracer, is the one called.
 """
 
 import argparse
 import functools
-import importlib
-import json as jsonlib
 import sys
 
 from .boolean import boolean, dedekind_standard, dedekind_via_theorem2, sub_poset
@@ -28,44 +32,6 @@ from .engine import (
 )
 from .errors import CapacityError, DomainError, MissingInput, ParseError
 from .poset import _popcount, _subsets, poset_from_text, from_covers
-
-
-# Names of the modules that only the middle-region routes, tables and verify
-# use.  _load_routes binds them into this module, and so does a first access
-# as an attribute (PEP 562), so `count` and `dedekind --method standard` never
-# import these modules.  A name already bound, as by a test's monkeypatch, is
-# kept.
-_LAZY = {
-    "isoclasses": ("representation_system",),
-    "methods": (
-        "_gamma_pivot",
-        "bmm5_gamma",
-        "bmm5_iso",
-        "bmm5_nu",
-        "bmm6_iso",
-        "bmm6_lemma2_reference",
-        "bmm6_mu",
-        "build_qsplit",
-        "build_T0_T1",
-        "class_parameters",
-        "gamma_residual_multiset",
-        "middle_counts",
-    ),
-}
-
-
-def _load_routes():
-    for module, names in _LAZY.items():
-        loaded = importlib.import_module("." + module, __package__)
-        for name in names:
-            globals().setdefault(name, getattr(loaded, name))
-
-
-def __getattr__(name):
-    if any(name in names for names in _LAZY.values()):
-        _load_routes()
-        return globals()[name]
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 B_SMALL = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7581, 6: 7828354}
@@ -106,6 +72,13 @@ def _build_parser():
     return parser
 
 
+def _json(value, **kwargs):
+    'value as one JSON document and a newline; json loads only for --format json'
+    import json
+
+    return json.dumps(value, **kwargs) + "\n"
+
+
 # -- count -------------------------------------------------------------------
 
 
@@ -114,7 +87,7 @@ def _dot_digraph(p):
     for i in range(p.n):
         name = str(i)
         if p.labels and p.labels[i] is not None:
-            name = p.labels[i]
+            name = p.labels[i].replace("\\", "\\\\").replace('"', '\\"')
         lines.append('  n%d [label="%s"];' % (i, name))
     for a, b in p.covers():
         lines.append("  n%d -> n%d;" % (a, b))
@@ -148,7 +121,7 @@ def cmd_count(args):
     if not pivot:
         value = count_downsets(p)
         if args.format == "json":
-            return jsonlib.dumps({"value": value}) + "\n"
+            return _json({"value": value})
         return "%d\n" % value
     m_mask = _parse_pivot(p, pivot)
     sizes = {}
@@ -163,9 +136,7 @@ def cmd_count(args):
         value += term.residual_count
     hist = sorted(sizes.items())
     if args.format == "json":
-        return jsonlib.dumps(
-            {"value": value, "terms": terms, "residual_sizes": hist}
-        ) + "\n"
+        return _json({"value": value, "terms": terms, "residual_sizes": hist})
     if args.format == "csv":
         out = ["%d,%d" % (value, terms)]
         out += ["%d,%d" % pair for pair in hist]
@@ -181,14 +152,17 @@ def cmd_count(args):
 def _route(method, n):
     """MethodReport of the middle-region route for (method, n); DomainError
     when no route covers it.  The table is built on every call, so it holds
-    whatever the route names are bound to at that moment."""
+    whatever methods and isoclasses bind the route names to at that moment."""
+    from . import isoclasses, methods
+
     routes = {
-        ("nu", 5): bmm5_nu,
-        ("gamma", 5): bmm5_gamma,
-        ("iso", 5): lambda: bmm5_iso(representation_system(sub_poset(boolean(5), "middle"))[1]),
-        ("iso", 6): lambda: bmm6_iso(build_qsplit()),
-        ("mu", 6): bmm6_mu,
-        ("lemma2", 6): lambda: bmm6_lemma2_reference(build_qsplit()),
+        ("nu", 5): methods.bmm5_nu,
+        ("gamma", 5): methods.bmm5_gamma,
+        ("iso", 5): lambda: methods.bmm5_iso(
+            isoclasses.representation_system(sub_poset(boolean(5), "middle"))[1]),
+        ("iso", 6): lambda: methods.bmm6_iso(methods.build_qsplit()),
+        ("mu", 6): methods.bmm6_mu,
+        ("lemma2", 6): lambda: methods.bmm6_lemma2_reference(methods.build_qsplit()),
     }
     if (method, n) in routes:
         return routes[method, n]()
@@ -205,22 +179,21 @@ def _dedekind(n, method):
     if method == "standard":
         run = dedekind_standard(n)
         return run.value, run.summands
-    _load_routes()
+    from . import methods
+
     if method == "theorem2":
         if not 0 <= n <= 6:
             raise DomainError("theorem2 ladder covers n = 0..6")
-        bmm = middle_counts(n) if n >= 3 else {}
+        bmm = methods.middle_counts(n) if n >= 3 else {}
         return dedekind_via_theorem2(n, bmm).value, max(0, n - 2)
     rep = _route(method, n)
-    return dedekind_via_theorem2(n, {**middle_counts(n - 1), n: rep.value}).value, rep.evaluations
+    return dedekind_via_theorem2(n, {**methods.middle_counts(n - 1), n: rep.value}).value, rep.evaluations
 
 
 def cmd_dedekind(args):
     value, evaluations = _dedekind(args.n, args.method)
     if args.format == "json":
-        return jsonlib.dumps(
-            {"n": args.n, "method": args.method, "value": value, "evaluations": evaluations}
-        ) + "\n"
+        return _json({"n": args.n, "method": args.method, "value": value, "evaluations": evaluations})
     if args.format == "csv":
         return "%d,%s,%d,%d\n" % (args.n, args.method, value, evaluations)
     if args.method == "theorem2":
@@ -232,17 +205,14 @@ def cmd_dedekind(args):
 
 
 def cmd_tables(args):
-    _load_routes()
     table = _route(args.which, 5 if args.which in ("nu", "gamma") else 6).table
     if args.which == "nu":
         if args.format == "json":
-            return jsonlib.dumps(table) + "\n"
+            return _json(table)
         return ",".join(str(x) for x in table) + "\n"
     if args.which == "gamma":
         if args.format == "json":
-            return jsonlib.dumps(
-                {"columns": [list(col) for col in table["columns"]], "rows": table["rows"]}
-            ) + "\n"
+            return _json({"columns": [list(col) for col in table["columns"]], "rows": table["rows"]})
         head = "j," + ",".join("%d-%d" % col for col in table["columns"])
         lines = [head]
         for j, row in enumerate(table["rows"]):
@@ -250,10 +220,10 @@ def cmd_tables(args):
         return "\n".join(lines) + "\n"
     if args.which == "mu":
         if args.format == "json":
-            return jsonlib.dumps(table) + "\n"
+            return _json(table)
         return "\n".join(",".join(str(x) for x in row) for row in table) + "\n"
     if args.format == "json":
-        return jsonlib.dumps(table, indent=2) + "\n"
+        return _json(table, indent=2)
     lines = ["code,iota,delta,t,sigma,downsets,inner"]
     for r in table:
         lines.append("%s,%d,%d,%d,%d,%d,%d" % (
@@ -283,7 +253,9 @@ def _random_poset(rng, max_points, density=0.25):
 
 
 def _check_ladder():
-    ladder = dedekind_via_theorem2(6, middle_counts(6))
+    from . import methods
+
+    ladder = dedekind_via_theorem2(6, methods.middle_counts(6))
     _expect(ladder.bmm == {3: 1, 4: 64, 5: 6212, 6: 7741776}, ladder.bmm)
     _expect(ladder.bm == {2: 2, 3: 9, 4: 114, 5: 6894, 6: 7785062}, ladder.bm)
     _expect(ladder.b == B_SMALL, ladder.b)
@@ -300,14 +272,18 @@ def _check_standard():
 
 
 def _check_nu():
-    rep = bmm5_nu()
+    from . import methods
+
+    rep = methods.bmm5_nu()
     _expect(tuple(rep.table) == NU_ROW, rep.table)
     _expect(sum(rep.table) == 1024)
     _expect(rep.value == 6212, rep.value)
 
 
 def _check_gamma():
-    rep = bmm5_gamma()
+    from . import methods
+
+    rep = methods.bmm5_gamma()
     _expect(rep.evaluations == 80, rep.evaluations)
     for row in rep.table["rows"]:
         _expect(sum(row) == 16, row)
@@ -315,7 +291,9 @@ def _check_gamma():
 
 
 def _check_mu():
-    rep = bmm6_mu()
+    from . import methods
+
+    rep = methods.bmm6_mu()
     grid = rep.table
     _expect(grid[0][0] == 165980, grid[0][0])
     _expect(sum(sum(row) for row in grid) == 1 << 20)
@@ -348,10 +326,12 @@ def _check_random_sample():
 
 
 def _check_gamma_uniformity():
+    from . import methods
+
     reference = {}
-    for n2 in _subsets(_gamma_pivot()[1]):
+    for n2 in _subsets(methods._gamma_pivot()[1]):
         key = _popcount(n2)
-        got = gamma_residual_multiset(n2)
+        got = methods.gamma_residual_multiset(n2)
         if key in reference:
             _expect(got == reference[key], key)
         else:
@@ -360,16 +340,18 @@ def _check_gamma_uniformity():
 
 def _run_checks(strict):
     'the (name, check) pairs of one verify run, in printed order'
-    split = build_qsplit()
+    from . import isoclasses, methods
+
+    split = methods.build_qsplit()
 
     @functools.cache
     def catalogue():
         'records of the q23 catalogue and their bmm6_iso report, built once per run'
-        classes_all, records = representation_system(split.q23)
-        return classes_all, records, bmm6_iso(split, records)
+        classes_all, records = isoclasses.representation_system(split.q23)
+        return classes_all, records, methods.bmm6_iso(split, records)
 
     def check_lemma2():
-        rep = bmm6_lemma2_reference(split)
+        rep = methods.bmm6_lemma2_reference(split)
         _expect(rep.value == 7741776, rep.value)
         _expect(rep.table["inner_terms"] == 3933651, rep.table)
 
@@ -381,7 +363,7 @@ def _run_checks(strict):
         _expect(len(records) == 34, len(records))
         _expect(len(classes_all) == 91, len(classes_all))
         _expect(sum(rec.iota for rec in records) == 1024)
-        _expect(bmm5_iso(records).value == 6212)
+        _expect(methods.bmm5_iso(records).value == 6212)
         _expect(report.value == 7741776, report.value)
         _expect(report.evaluations == 272, report.evaluations)
         spent = sum(3 ** row["delta"] * row["downsets_below"] for row in report.table)
@@ -393,13 +375,13 @@ def _run_checks(strict):
 
         rng = random.Random(4057)
         _, records, report = catalogue()
-        t1 = build_T0_T1(split)[1]
+        t1 = methods.build_T0_T1(split)[1]
         for rec, row in zip(records, report.table):
             copy = rec.representative
             others = [m for m in rec.members if m != rec.representative]
             if others:
                 copy = rng.choice(others)
-            got = class_parameters(split, copy, t1)
+            got = methods.class_parameters(split, copy, t1)
             _expect(got == {key: row[key] for key in got}, (rec.type_code, got))
 
     checks = [
@@ -420,7 +402,6 @@ def _run_checks(strict):
 
 
 def cmd_verify(args):
-    _load_routes()
     lines = []
     failed = 0
     for name, fn in _run_checks(args.strict):

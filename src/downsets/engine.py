@@ -50,20 +50,6 @@ from .poset import _bits, _by_bytes, _byte_tables, _popcount, _relabel
 DEFAULT_ENUM_LIMIT = 1 << 24
 
 
-class DownSetFamily:
-    'all down-sets of a poset, as masks sorted ascending by bit pattern'
-    __slots__ = ("members",)
-
-    def __init__(self, members):
-        self.members = members
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
 class DecompositionTerm:
     """One summand of the trace decomposition: trace N and the residual
     p - (up(M - N) | down(N)) as the point set mask of the decomposed p.
@@ -184,14 +170,14 @@ def _enum(p, mask):
 
 
 def enumerate_downsets(p, limit=DEFAULT_ENUM_LIMIT):
-    'all down-sets of p, sorted by bit pattern; CapacityError past limit'
+    'all down-sets of p as a tuple of masks ascending by bit pattern; CapacityError past limit'
     out = []
     for d in _enum(p, p.carrier):
         out.append(d)
         if len(out) > limit:
             raise CapacityError("more than %d down-sets" % limit)
     out.sort()
-    return DownSetFamily(members=tuple(out))
+    return tuple(out)
 
 
 def decompose(p, m_mask, perms=()):
@@ -269,7 +255,7 @@ def chain_product_count(n, q):
         return 1
     import numpy as np
 
-    members = enumerate_downsets(q).members
+    members = enumerate_downsets(q)
     f = np.ones(len(members), dtype=np.int64 if len(members) ** n < 1 << 63 else object)
     for _ in range(n - 1):
         f = containment_sums(members, f)
@@ -297,15 +283,15 @@ def containment_sums(members, f):
     return g
 
 
-def containment_counts(fam):
+def containment_counts(members):
     """Per member: how many members it contains and how many contain it.
     members are all down-sets of one poset, ascending, as enumerate_downsets
     returns them; their complements within the union, the down-sets of the
     dual, ascend in reverse order and give the second count."""
-    top = fam.members[-1] if len(fam) else 0
-    ones = [1] * len(fam)
-    below = containment_sums(fam.members, ones)
-    above = containment_sums([top - d for d in reversed(fam.members)], ones)[::-1]
+    top = members[-1] if members else 0
+    ones = [1] * len(members)
+    below = containment_sums(members, ones)
+    above = containment_sums([top - d for d in reversed(members)], ones)[::-1]
     return below.tolist(), above.tolist()
 
 

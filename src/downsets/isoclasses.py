@@ -106,17 +106,12 @@ def _component_certificate(p, mask):
     return bytes([k]) + b"".join(r.to_bytes((k + 7) // 8, "big") for r in best[0])
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    'relabel-invariant certificate; equality means isomorphism'
-    certificate: bytes
-
-
 def canonical_form(p):
+    'relabel-invariant certificate bytes; equal certificates mean isomorphic posets'
     if p.n > CANON_MAX_POINTS:
         raise CapacityError("canonical form capped at %d points, got %d" % (CANON_MAX_POINTS, p.n))
     parts = sorted(_component_certificate(p, comp) for comp in p.components())
-    return CanonicalForm(certificate=bytes([p.n]) + b"|".join(parts))
+    return bytes([p.n]) + b"|".join(parts)
 
 
 def are_isomorphic(p, q):
@@ -229,7 +224,7 @@ def representation_system(q23):
         for orbit in group:
             # a certificate starts with the point count, so an orbit alone at
             # its size merges with no other and is keyed by the size instead
-            cert = canonical_form(q23.induced(orbit[0])).certificate if len(group) > 1 else size
+            cert = canonical_form(q23.induced(orbit[0])) if len(group) > 1 else size
             by_cert.setdefault(cert, []).extend(orbit)
     records = []
     for members in by_cert.values():

@@ -305,7 +305,7 @@ def bmm6_lemma2_reference(split):
     import numpy as np
 
     t0 = time.perf_counter()
-    members = enumerate_downsets(split.q23).members
+    members = enumerate_downsets(split.q23)
     e_vec, t_vec = fringe_counts(split, members)
     columns = np.column_stack([np.left_shift(1, e_vec), np.ones(len(e_vec), dtype=np.int64)])
     sums = containment_sums(members, columns)

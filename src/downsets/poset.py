@@ -417,12 +417,19 @@ def poset_from_text(text):
 
 
 def poset_to_text(p):
-    'serialize: header, points, labels, covers of the transitive reduction'
+    """serialize: header, points, labels, covers of the transitive reduction.
+    DomainError for a label poset_from_text would not read back as itself:
+    one that is not a string, is empty, holds '#' or a line break, or starts
+    or ends with whitespace."""
     lines = ["poset v1", "points %d" % p.n]
     if p.labels is not None:
         for i, lab in enumerate(p.labels):
-            if lab is not None:
-                lines.append("label %d %s" % (i, lab))
+            if lab is None:
+                continue
+            # splitlines is [] for an empty label and splits at a line break
+            if not isinstance(lab, str) or "#" in lab or lab.strip() != lab or lab.splitlines() != [lab]:
+                raise DomainError("label %r of point %d does not survive the text format" % (lab, i))
+            lines.append("label %d %s" % (i, lab))
     for i, j in p.covers():
         lines.append("cover %d %d" % (i, j))
     return "\n".join(lines) + "\n"

@@ -33,7 +33,7 @@ def iso_table(split, catalogue):
 
 @pytest.fixture(scope="session")
 def q23_members(split):
-    return enumerate_downsets(split.q23).members
+    return enumerate_downsets(split.q23)
 
 
 @pytest.fixture

@@ -109,6 +109,15 @@ def test_count_dot(diamond_file, capsys):
     assert arrows == {"  n0 -> n1;", "  n0 -> n2;", "  n1 -> n3;", "  n2 -> n3;"}
 
 
+def test_count_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    path = tmp_path / "quoted.poset"
+    path.write_text('poset v1\npoints 2\nlabel 0 a"b\nlabel 1 c\\d\ncover 0 1\n')
+    code, out, _ = run(["count", str(path), "--dot"], capsys)
+    assert code == 0
+    assert '  n0 [label="a\\"b"];' in out.splitlines()
+    assert '  n1 [label="c\\\\d"];' in out.splitlines()
+
+
 def test_count_missing_file(capsys):
     code, _, err = run(["count", "/nonexistent/x.poset"], capsys)
     assert code == 2
@@ -334,13 +343,13 @@ def test_verify_strict_passes(capsys):
 def test_verify_strict_builds_the_catalogue_once(capsys, monkeypatch):
     'the catalogue and class-constancy checks share one catalogue build'
     calls = []
-    build = cli.representation_system
+    build = downsets.isoclasses.representation_system
 
     def counted(q23):
         calls.append(q23)
         return build(q23)
 
-    monkeypatch.setattr(cli, "representation_system", counted)
+    monkeypatch.setattr(downsets.isoclasses, "representation_system", counted)
     code, out, _ = run(["verify", "--strict"], capsys)
     assert code == 0
     assert out.splitlines()[-1] == "12 checks, 0 failed"
@@ -353,7 +362,7 @@ def test_a_failed_catalogue_build_fails_each_check_that_shares_it(capsys, monkey
 
     run_checks = cli._run_checks
     shared = ("catalogue", "class-constancy")
-    monkeypatch.setattr(cli, "representation_system", broken)
+    monkeypatch.setattr(downsets.isoclasses, "representation_system", broken)
     monkeypatch.setattr(cli, "_run_checks", lambda strict: [c for c in run_checks(strict) if c[0] in shared])
     code, out, _ = run(["verify", "--strict"], capsys)
     assert code == 1
@@ -458,7 +467,7 @@ def child_lines(script, *args):
 
 
 def test_count_and_standard_load_only_the_modules_they_use(diamond_file):
-    'count needs no route, catalogue, numpy or dataclasses; dedekind --method standard no route'
+    'count needs no route, catalogue, numpy, dataclasses or json; dedekind --method standard no route or json'
     script = (
         "import sys\n"
         "from downsets import cli\n"
@@ -473,8 +482,20 @@ def test_count_and_standard_load_only_the_modules_they_use(diamond_file):
     after_count = set(after_count.split()) - bare
     after_standard = set(after_standard.split()) - bare
     assert {"downsets.cli", "downsets.engine"} <= after_count
-    assert after_count.isdisjoint({"downsets.methods", "downsets.isoclasses", "numpy", "dataclasses"})
-    assert after_standard.isdisjoint({"downsets.methods", "downsets.isoclasses"})
+    assert after_count.isdisjoint({"downsets.methods", "downsets.isoclasses", "numpy", "dataclasses", "json"})
+    assert after_standard.isdisjoint({"downsets.methods", "downsets.isoclasses", "json"})
+
+
+def test_verify_checks_run_when_called_directly_in_a_fresh_interpreter():
+    'a check finds its route through its module, with no command run before it'
+    script = (
+        "from downsets import cli\n"
+        "cli._check_nu()\n"
+        "cli._check_ladder()\n"
+        "cli._check_gamma_uniformity()\n"
+        "print('ok')\n"
+    )
+    assert child_lines(script) == ["ok"]
 
 
 def test_lazy_exports_resolve_in_a_fresh_interpreter():

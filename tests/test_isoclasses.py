@@ -57,7 +57,7 @@ def test_canonical_form_separates_non_isomorphic():
         boolean(2).lattice,
     ]
     for p in shapes:
-        cert = canonical_form(p).certificate
+        cert = canonical_form(p)
         assert cert not in seen, "collision with %s" % seen.get(cert)
         seen[cert] = p
 
@@ -176,10 +176,10 @@ def catalogue_by_certificates(q23):
     'the catalogue records with one canonical form per isolated-free down-set'
     lowers = q23.minimal_points()
     by_cert = {}
-    for mask in enumerate_downsets(q23).members:
+    for mask in enumerate_downsets(q23):
         if q23.down_closure(mask & ~lowers) != mask:
             continue
-        cert = canonical_form(q23.induced(mask)).certificate
+        cert = canonical_form(q23.induced(mask))
         by_cert.setdefault(cert, []).append(mask)
     records = []
     for members in by_cert.values():

@@ -328,7 +328,7 @@ def test_class_parameters_match_the_catalogue_and_reject_isolated_points(split, 
 
 def test_residual_law_on_the_diamond():
     q = from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    for n_mask in enumerate_downsets(q).members:
+    for n_mask in enumerate_downsets(q):
         assert lemma1_check(2, q, n_mask)
         assert lemma1_check(3, q, n_mask)
     with pytest.raises(NotADownSet):

@@ -257,11 +257,19 @@ def test_subsets_yield_every_submask_once_descending(mask):
 
 
 def test_text_format_round_trip():
-    p = diamond()
+    p = from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)], labels=("a b", None, 'q"\\', "top"))
     text = poset_to_text(p)
     q = poset_from_text(text)
     assert q.n == p.n
     assert q.up == p.up
+    assert q.labels == p.labels
+
+
+@pytest.mark.parametrize("label", ["", "x#y", " z", "z ", "a\nb", 7])
+def test_text_format_rejects_a_label_that_would_not_read_back(label):
+    'the empty label is the one boolean(0) gives its point'
+    with pytest.raises(DomainError):
+        poset_to_text(from_covers(1, [], labels=(label,)))
 
 
 def test_text_format_accepts_comments_and_labels():
