@@ -244,46 +244,77 @@ def bmm5_iso(records):
 # -- the 6-atom middle region ------------------------------------------------
 
 
+def _plane(k, b):
+    'the 2**k-bit int whose bit x is bit b of x, for every x < 2**k; b < k'
+    if b < 3:
+        chunk = bytes([(0xAA, 0xCC, 0xF0)[b]])
+    else:
+        chunk = bytes(1 << b - 3) + b"\xff" * (1 << b - 3)
+    reps = max(1, (1 << k) // (8 * len(chunk)))
+    return int.from_bytes(chunk * reps, "little") & ((1 << (1 << k)) - 1)
+
+
+def _tally(counter, plane):
+    """add a one-bit plane into a bit-sliced counter, ones bit first, by
+    ripple carry; the counter must be wide enough for every plane added"""
+    for i, c in enumerate(counter):
+        counter[i], plane = c ^ plane, c & plane
+
+
+def _levels(counter, full):
+    'yield, for v = 0, 1, ..., the mask of the bits of full where the counter holds v'
+    negs = [full ^ c for c in counter]
+    for v in range(1 << len(counter)):
+        mask = full
+        for i, c in enumerate(counter):
+            mask &= c if v >> i & 1 else negs[i]
+        yield mask
+
+
+def _mu_counters(mid):
+    """(full, lowers, uppers) over the subsets x of the k level-3 points of
+    mid, subset x being bit x of a 2**k-bit int and full having every bit.
+    lowers counts the level-2 points not under x, uppers the level-4 points
+    whose level-3 points below are all in x; both are bit-sliced counters of
+    4 planes.  Each one-bit plane is added as soon as it is made."""
+    level = [_popcount(word) for word in mid.parent_map]
+    l3 = [u for u in range(mid.n) if level[u] == 3]
+    lv3 = sum(1 << u for u in l3)
+    planes = {u: _plane(len(l3), b) for b, u in enumerate(l3)}
+    full = (1 << (1 << len(l3))) - 1
+    lowers, uppers = [0] * 4, [0] * 4
+    for p in range(mid.n):
+        if level[p] == 2:
+            covered = 0
+            for u in _bits(mid.up[p] & lv3):
+                covered |= planes[u]
+            _tally(lowers, full ^ covered)
+        elif level[p] == 4:
+            held = full
+            for u in _bits(mid.down[p] & lv3):
+                held &= planes[u]
+            _tally(uppers, held)
+    return full, lowers, uppers
+
+
 def bmm6_mu():
     """Mid-level sweep: one term per subset N of the 20 level-3 points.  The
     residual is an antichain made of the level-2 points not under N and the
     level-4 points not over the complement of N; mu[i][j] tallies subsets by
     the two sizes, and the count is sum mu[i][j] * 2^(i+j).
 
-    The 2**20 covered sets are filled by subset doubling, one half-width OR
-    per level-3 point, and tallied as uint8 cell indices, so the sweep holds
-    about 8 MB of arrays."""
-    import numpy as np
-
+    The sweep is bit-parallel over Python ints: subset x is bit x, each of
+    the two sizes (at most 15) is a bit-sliced counter from _mu_counters,
+    and mu[i][j] is the bit count of (lower size == i) & (upper size == j).
+    The column masks are kept and the row masks made one at a time."""
     t0 = time.perf_counter()
-    mid = sub_poset(boolean(6), "middle")
-    l2 = [i for i in range(mid.n) if _popcount(mid.parent_map[i]) == 2]
-    l3 = [i for i in range(mid.n) if _popcount(mid.parent_map[i]) == 3]
-    l4 = [i for i in range(mid.n) if _popcount(mid.parent_map[i]) == 4]
-    pos2 = {p: b for b, p in enumerate(l2)}
-    pos4 = {p: b for b, p in enumerate(l4)}
-    # a level-3 point has only level-2 points strictly below it, level-4 above
-    dn2 = [_relabel(mid.down[u] & ~(1 << u), pos2) for u in l3]
-    up4 = [_relabel(mid.up[u] & ~(1 << u), pos4) for u in l3]
-    size = 1 << 20
-    covered2 = np.zeros(size, dtype=np.uint16)
-    covered4 = np.zeros(size, dtype=np.uint16)
-    # subset doubling: the subsets with highest point b are those below 2**b plus b
-    for b in range(20):
-        covered2[1 << b : 2 << b] = covered2[: 1 << b] | np.uint16(dn2[b])
-        covered4[1 << b : 2 << b] = covered4[: 1 << b] | np.uint16(up4[b])
-    # the complement of mask x is (size-1) - x, so index reversal flips N;
-    # both sizes are at most 15, so the cell index 16 * i + j fits in uint8
-    i_arr = 15 - np.bitwise_count(covered2)
-    j_arr = 15 - np.bitwise_count(covered4[::-1])
-    cells = i_arr * np.uint8(16) + j_arr
-    # bincount widens its input to intp, so it gets 64 slices of 16K cells
-    grid = sum(np.bincount(part, minlength=256) for part in cells.reshape(64, -1)).reshape(16, 16)
-    table = [[int(x) for x in row] for row in grid]
+    full, lowers, uppers = _mu_counters(sub_poset(boolean(6), "middle"))
+    cols = list(_levels(uppers, full))
+    table = [[(row & col).bit_count() for col in cols] for row in _levels(lowers, full)]
     value = sum(table[i][j] << (i + j) for i in range(16) for j in range(16))
     return MethodReport(
         method="mu", value=value, table=table,
-        evaluations=size, wall_time=time.perf_counter() - t0,
+        evaluations=1 << 20, wall_time=time.perf_counter() - t0,
     )
 
 

@@ -390,6 +390,8 @@ def poset_from_text(text):
             (i,) = _indices(parts[1:2], lineno, kind)
             if i >= n:
                 raise ParseError("line %d: label index %d out of range" % (lineno, i))
+            if i in labels:
+                raise ParseError("line %d: duplicate label for point %d" % (lineno, i))
             labels[i] = line.split(None, 2)[2]
         elif kind == "cover":
             if n is None:

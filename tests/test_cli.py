@@ -173,6 +173,14 @@ def test_count_non_ascii_digits_are_a_parse_error(tmp_path, capsys, text, line):
     assert err.startswith("parse error: line %d: malformed" % line)
 
 
+def test_count_duplicate_label_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "relabelled.poset"
+    path.write_text("poset v1\npoints 2\nlabel 0 a\nlabel 0 b\n")
+    code, out, err = run(["count", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "parse error: line 4: duplicate label for point 0\n"
+
+
 def test_count_non_utf8_file_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "latin1.poset"
     path.write_bytes(b"poset v1\npoints 2\nlabel 0 caf\xe9\n")
@@ -484,6 +492,22 @@ def test_count_and_standard_load_only_the_modules_they_use(diamond_file):
     assert {"downsets.cli", "downsets.engine"} <= after_count
     assert after_count.isdisjoint({"downsets.methods", "downsets.isoclasses", "numpy", "dataclasses", "json"})
     assert after_standard.isdisjoint({"downsets.methods", "downsets.isoclasses", "json"})
+
+
+def test_mu_and_theorem2_routes_load_no_numpy():
+    'the mu sweep is bit-parallel over Python ints, and theorem2 at n = 6 runs it'
+    script = (
+        "import sys\n"
+        "from downsets import cli\n"
+        "cli.main(['dedekind', '6', '--method', 'mu'])\n"
+        "cli.main(['tables', 'mu'])\n"
+        "cli.main(['dedekind', '6', '--method', 'theorem2'])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    lines = child_lines(script)
+    assert lines[:2] == ["7828354", "evaluations: 1048576"]
+    assert lines[2:18] == [",".join(str(x) for x in row) for row in MU_GRID]
+    assert lines[18:] == ["7828354", "False"]
 
 
 def test_verify_checks_run_when_called_directly_in_a_fresh_interpreter():

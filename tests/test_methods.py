@@ -30,7 +30,7 @@ from downsets import (
     sigma_reference,
     t_of,
 )
-from downsets.methods import _gamma_pivot, fringe_counts, gamma_residual_multiset
+from downsets.methods import _gamma_pivot, _levels, _plane, _tally, fringe_counts, gamma_residual_multiset
 from downsets.poset import _bits, _popcount
 from conftest import random_poset, random_submask
 from frozen import (
@@ -195,6 +195,28 @@ def test_mu_sweep():
     for i in range(16):
         for j in range(16):
             assert grid[i][j] == grid[j][i]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_bit_sliced_helpers_by_brute_force(k):
+    'planes, ripple-carry counters and their level masks against a loop over every x < 2**k'
+    width = 1 << k
+    full = (1 << width) - 1
+    for b in range(k):
+        plane = _plane(k, b)
+        assert plane >> width == 0
+        assert all((plane >> x & 1) == (x >> b & 1) for x in range(width))
+    rng = random.Random(1700 + k)
+    for _ in range(20):
+        inputs = [rng.getrandbits(width) for _ in range(rng.randrange(0, 24))]
+        counter = [0] * len(inputs).bit_length()
+        for one_bit in inputs:
+            _tally(counter, one_bit)
+        masks = list(_levels(counter, full))
+        assert len(masks) == 1 << len(counter)
+        for x in range(width):
+            held = sum(one_bit >> x & 1 for one_bit in inputs)
+            assert [v for v, mask in enumerate(masks) if mask >> x & 1] == [held]
 
 
 def test_reference_summation(split):

@@ -296,6 +296,13 @@ def test_text_format_parse_errors_name_the_line():
         poset_from_text("poset v1\ncover 0 1\n")  # points line missing
 
 
+def test_text_format_rejects_a_duplicate_label():
+    'a second label line for a point is an error, as a second points line is'
+    with pytest.raises(ParseError) as info:
+        poset_from_text("poset v1\npoints 2\nlabel 0 a\nlabel 1 c\nlabel 0 b\n")
+    assert str(info.value) == "line 5: duplicate label for point 0"
+
+
 def test_empty_poset_is_legal():
     p = antichain(0)
     assert p.n == 0
