@@ -11,10 +11,11 @@ Exit codes: 0 ok, 1 verification failure, 2 parse error, 3 capacity error,
 4 unsupported request.
 
 Each function that runs a middle-region route, a table or a verify check
-imports methods and isoclasses itself and calls through the module
-(methods.bmm5_nu()), and JSON output imports json in _json.  So `count` and
-`dedekind N --method standard` load none of them, and a name rebound on its
-module, by a test or a tracer, is the one called.
+imports methods itself, and isoclasses where an iso route or a catalogue
+check needs it, and calls through the module (methods.bmm5_nu()); JSON
+output imports json in _json.  So `count` and `dedekind N --method
+standard` load none of them, the other routes no isoclasses, and a name
+rebound on its module, by a test or a tracer, is the one called.
 """
 
 import argparse
@@ -152,14 +153,19 @@ def cmd_count(args):
 def _route(method, n):
     """MethodReport of the middle-region route for (method, n); DomainError
     when no route covers it.  The table is built on every call, so it holds
-    whatever methods and isoclasses bind the route names to at that moment."""
-    from . import isoclasses, methods
+    whatever methods and isoclasses bind the route names to at that moment.
+    isoclasses loads only for the iso routes."""
+    from . import methods
+
+    def iso5():
+        from . import isoclasses
+
+        return methods.bmm5_iso(isoclasses.representation_system(sub_poset(boolean(5), "middle"))[1])
 
     routes = {
         ("nu", 5): methods.bmm5_nu,
         ("gamma", 5): methods.bmm5_gamma,
-        ("iso", 5): lambda: methods.bmm5_iso(
-            isoclasses.representation_system(sub_poset(boolean(5), "middle"))[1]),
+        ("iso", 5): iso5,
         ("iso", 6): lambda: methods.bmm6_iso(methods.build_qsplit()),
         ("mu", 6): methods.bmm6_mu,
         ("lemma2", 6): lambda: methods.bmm6_lemma2_reference(methods.build_qsplit()),

@@ -35,10 +35,18 @@ Contained-pair sums use the zeta transform over the lattice of down-sets
 down-set D - x adds the partial sum at D - x to its own.  After the passes
 for x_1..x_j of a linear extension, D holds the sum over the down-sets E
 inside D with D - E within {x_1..x_j}; an E that misses x_j lies inside
-D - x_j, a down-set, since a point of D above x_j would come later.  That is
-n passes of at most k additions for k down-sets on n points, not k**2 cells.
-Falling member count orders the points by a linear extension: for x < y,
-every down-set that holds y holds x, and down(x) holds x but not y.
+D - x_j, a down-set, since a point of D above x_j would come later.  D - x
+is a down-set exactly when x is maximal in D, so the additions are the pairs
+(D, maximal point of D), found once per call and reused by every pass: at
+most k additions per point for k down-sets, not k**2 cells.
+Rising size of down(x) orders the points by a linear extension.  The
+down-sets of the dual are the complements, and D - x is one of p's exactly
+when the complement of D plus x is one of the dual's; so the same pairs,
+swept in the reverse order and direction, sum over the members containing
+each one.
+
+Orbits of maps applied to a whole array of masks at once go through
+array_orbits, which labels each member by the least member of its orbit.
 """
 
 import functools
@@ -245,54 +253,74 @@ def chain_product_count(n, q):
 
     A down-set of chain(n) x q is a weakly increasing n-tuple of down-sets of
     q, so the count is the n-th containment-power of D(q): start from all-ones
-    over the k down-sets and apply the zeta transform containment_sums n - 1
-    times.  Every partial sum, inside a transform too, is at most k**n, so the
-    vector is int64 when k**n < 2**63 and Python ints otherwise, exact.
+    over the k down-sets and apply the zeta transform n - 1 times, every pass
+    over the one set of pairs _containment_pairs finds.  Python ints keep the
+    sums, which reach k**n, exact.
     """
     if n < 0:
         raise DomainError("negative chain length %d" % n)
     if n == 0:
         return 1
-    import numpy as np
-
     members = enumerate_downsets(q)
-    f = np.ones(len(members), dtype=np.int64 if len(members) ** n < 1 << 63 else object)
+    pairs = _containment_pairs(q, members)
+    f = [1] * len(members)
     for _ in range(n - 1):
-        f = containment_sums(members, f)
-    return int(f.sum())
+        f = _zeta(pairs, f)
+    return sum(f)
 
 
-def containment_sums(members, f):
-    """Per member, the sum of f (a vector, or a matrix summed by columns) over
-    the members it contains, by the zeta transform of the module docstring.
-    members are all down-sets of one poset, ascending, as enumerate_downsets
-    returns them.  Masks below 2**63 are searched as int64, wider ones as
-    Python ints; an object array f sums exactly, and each partial sum is a
-    sub-sum of the final one."""
-    import numpy as np
+def _containment_pairs(p, members):
+    """The additions of the zeta transform over members, all down-sets of p
+    in any order: per point x with any, in a linear extension, the flat array
+    d0, s0, d1, s1, ... of the positions of each member D with x maximal and
+    of D - x.  Maximal points come from one table of strict down rows."""
+    from array import array  # an extension module, which count need not load
 
-    top = members[-1] if len(members) else 0
-    arr = np.asarray(members, dtype=object if top >= 1 << 63 else np.int64)
-    g = np.array(f)
-    for x in sorted(_bits(top), key=lambda i: -np.count_nonzero(arr & (1 << i))):
-        held = np.flatnonzero(arr & (1 << x))
-        rest = arr[held] - (1 << x)
-        at = np.searchsorted(arr, rest)
-        hit = arr[at] == rest
-        g[held[hit]] += g[at[hit]]
+    index = {d: i for i, d in enumerate(members)}
+    tables = _byte_tables([row ^ (1 << i) for i, row in enumerate(p.down)])
+    pairs = [array("l") for _ in range(p.n)]
+    for i, d in enumerate(members):
+        tops = d & ~_by_bytes(d, tables)
+        while tops:
+            low = tops & -tops
+            tops ^= low
+            pair = pairs[low.bit_length() - 1]
+            pair.append(i)
+            pair.append(index[d ^ low])
+    return [pairs[x] for x in sorted(range(p.n), key=lambda x: _popcount(p.down[x])) if pairs[x]]
+
+
+def _zeta(pairs, f):
+    'f summed over the members each one contains, by the passes of _containment_pairs'
+    g = list(f)
+    for flat in pairs:
+        it = iter(flat)
+        for d, s in zip(it, it):
+            g[d] += g[s]
     return g
 
 
-def containment_counts(members):
+def containment_sums(p, members, f):
+    """Per member, the sum of the numbers f (one per member) over the members
+    it contains, by the zeta transform of the module docstring.  members are
+    all down-sets of p, in any order; each partial sum is a sub-sum of the
+    final one."""
+    return _zeta(_containment_pairs(p, members), f)
+
+
+def containment_counts(p, members):
     """Per member: how many members it contains and how many contain it.
-    members are all down-sets of one poset, ascending, as enumerate_downsets
-    returns them; their complements within the union, the down-sets of the
-    dual, ascend in reverse order and give the second count."""
-    top = members[-1] if members else 0
-    ones = [1] * len(members)
-    below = containment_sums(members, ones)
-    above = containment_sums([top - d for d in reversed(members)], ones)[::-1]
-    return below.tolist(), above.tolist()
+    members are all down-sets of p, in any order.  Both counts sweep one set
+    of pairs: the second in the reverse order and direction, which is the
+    zeta transform over the complements, the down-sets of the dual."""
+    pairs = _containment_pairs(p, members)
+    below = _zeta(pairs, [1] * len(members))
+    above = [1] * len(members)
+    for flat in reversed(pairs):
+        it = iter(flat)
+        for d, s in zip(it, it):
+            above[s] += above[d]
+    return below, above
 
 
 # -- symmetry ----------------------------------------------------------------
@@ -362,3 +390,59 @@ def orbits(masks, perms):
                     seen.add(image)
                     orbit.append(image)
         yield orbit
+
+
+def _relabel_array(arr, image):
+    """The masks of the int64 numpy array arr with each point i moved to
+    image[i], through the byte tables of the rows 1 << image[i]: one lookup
+    per byte for the whole array.  Every image must stay below 63, and
+    IndexError for a mask with a point past image."""
+    import numpy as np
+
+    out = np.zeros_like(arr)
+    for j, table in enumerate(_byte_tables([1 << point for point in image])):
+        out |= np.array(table, dtype=np.int64)[(arr >> 8 * j) & 255]
+    return out
+
+
+def array_orbits(members, images):
+    """Orbits on a set of masks under maps given by their images, computed on
+    whole arrays.  members is an ascending int64 numpy array, and images has
+    one array per map, the image of each member.  Returns the least member
+    of each orbit, ascending, and the orbit sizes: what orbits yields as
+    orbit[0] and len(orbit).
+
+    searchsorted finds each image's position, and a map permutes the set
+    when every position holds the image of some member.  Labels start as
+    positions; each round lowers every label to the least label of its
+    images, then jumps pointers (lab = lab[lab]) until they settle.  A map
+    that permutes a finite set runs in cycles, so labels that no round
+    lowers are constant on each orbit, and the orbit's least position keeps
+    its own.  StructureError when a map sends a member outside the set or
+    two members to one.  Few distinct numpy functions are used, since the
+    first call of each pages in more of numpy (np.unique alone about
+    0.75 MB).
+    """
+    import numpy as np
+
+    positions = np.arange(len(members))
+    targets = []
+    for image in images:
+        at = np.searchsorted(members, image)
+        hit = np.zeros(len(members), dtype=bool)
+        hit[at[members[np.minimum(at, len(members) - 1)] == image]] = True
+        if not hit.all():
+            raise StructureError("a map does not permute the set")
+        targets.append(at)
+    labels = positions
+    while True:
+        lowered = labels
+        for at in targets:
+            lowered = np.minimum(lowered, labels[at])
+        while not ((jumped := lowered[lowered]) == lowered).all():
+            lowered = jumped
+        if (lowered == labels).all():
+            break
+        labels = lowered
+    least = np.flatnonzero(labels == positions)
+    return members[least], np.bincount(labels)[least]

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 
 from .boolean import boolean, sub_poset
 from .engine import (
-    containment_sums, coordinate_automorphisms, count_downsets, decompose, enumerate_downsets,
+    _containment_pairs, _zeta, coordinate_automorphisms, count_downsets, decompose, enumerate_downsets,
 )
 from .errors import DomainError, NotADownSet, ShapeError, StructureError
-from .isoclasses import representation_system, type_code
 from .poset import Poset, chain, product, _bits, _by_bytes, _byte_tables, _or_table, _popcount, _relabel, _subsets
 
 
@@ -329,19 +328,17 @@ def sigma_reference(split, n_local, members):
 
 def bmm6_lemma2_reference(split):
     """Reference summation over all 6212 down-sets N of the bottom block:
-    sum of 2^t(N) * sigma(N) with sigma by its defining inner sum.  One
-    containment_sums pass over the columns [2^e, 1] gives sigma and the
-    number of inner terms (contained pairs), which is the evaluation
-    counter."""
-    import numpy as np
-
+    sum of 2^t(N) * sigma(N) with sigma by its defining inner sum.  Two zeta
+    transforms over one set of contained pairs give sigma, from the weights
+    2^e, and the number of inner terms (contained pairs), from ones, which
+    is the evaluation counter."""
     t0 = time.perf_counter()
     members = enumerate_downsets(split.q23)
     e_vec, t_vec = fringe_counts(split, members)
-    columns = np.column_stack([np.left_shift(1, e_vec), np.ones(len(e_vec), dtype=np.int64)])
-    sums = containment_sums(members, columns)
-    pairs = int(sums[:, 1].sum())
-    value = sum(s << t for s, t in zip(sums[:, 0].tolist(), t_vec))
+    index = _containment_pairs(split.q23, members)
+    sigma = _zeta(index, [1 << e for e in e_vec])
+    pairs = sum(_zeta(index, [1] * len(members)))
+    value = sum(s << t for s, t in zip(sigma, t_vec))
     return MethodReport(
         method="lemma2", value=value, table={"inner_terms": pairs},
         evaluations=pairs, wall_time=time.perf_counter() - t0,
@@ -355,6 +352,8 @@ def classify_inner_type(split, d_local):
     uppers = d_local & ~split.q23.minimal_points()
     if not uppers or e_of(split, split.q23.to_parent_mask(d_local)) == 0:
         return "other"
+    from .isoclasses import type_code
+
     return type_code(split.q23, split.q23.down_closure(uppers))
 
 
@@ -512,6 +511,8 @@ def bmm6_iso(split, records=None):
     down-sets only.  The table is the table7 rows."""
     t0 = time.perf_counter()
     if records is None:
+        from .isoclasses import representation_system
+
         _, records = representation_system(split.q23)
     rows = table7(split, records)
     value = sum(row["iota"] * (row["inner_sum"] << row["t"]) for row in rows)

@@ -510,6 +510,48 @@ def test_mu_and_theorem2_routes_load_no_numpy():
     assert lines[18:] == ["7828354", "False"]
 
 
+def test_lemma2_route_loads_no_numpy():
+    'the zeta transform over contained pairs runs on Python ints'
+    script = (
+        "import sys\n"
+        "from downsets import cli\n"
+        "cli.main(['dedekind', '6', '--method', 'lemma2'])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert child_lines(script) == ["7828354", "evaluations: 3933651", "False"]
+
+
+def test_standard_without_numpy_is_unsupported():
+    'numpy unimportable: the pairwise summation exits 4 with a message, not a traceback'
+    script = (
+        "import contextlib, io, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from downsets import cli\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        "    code = cli.main(['dedekind', '7', '--method', 'standard'])\n"
+        "print(code)\n"
+        "print(err.getvalue(), end='')\n"
+    )
+    assert child_lines(script) == ["4", "unsupported: pairwise summation needs numpy"]
+
+
+def test_routes_other_than_iso_load_no_catalogue():
+    'isoclasses loads for the iso routes only'
+    script = (
+        "import sys\n"
+        "from downsets import cli\n"
+        "cli.main(['dedekind', '5', '--method', 'nu'])\n"
+        "cli.main(['dedekind', '6', '--method', 'mu'])\n"
+        "print('downsets.isoclasses' in sys.modules)\n"
+        "cli.main(['dedekind', '5', '--method', 'iso'])\n"
+        "print('downsets.isoclasses' in sys.modules)\n"
+    )
+    assert child_lines(script) == [
+        "7581", "evaluations: 1024", "7828354", "evaluations: 1048576", "False",
+        "7581", "evaluations: 34", "True"]
+
+
 def test_verify_checks_run_when_called_directly_in_a_fresh_interpreter():
     'a check finds its route through its module, with no command run before it'
     script = (

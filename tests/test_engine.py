@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -27,7 +28,8 @@ from downsets import (
     product,
     sub_poset,
 )
-from downsets.engine import containment_sums, coordinate_automorphisms, orbits
+from downsets.boolean import _symmetry_images
+from downsets.engine import _relabel_array, array_orbits, containment_sums, coordinate_automorphisms, orbits
 from downsets.poset import _by_bytes, _byte_tables, _or_table, _relabel
 from conftest import random_poset, random_submask
 
@@ -163,8 +165,9 @@ def test_phi_inverse_rejects_masks_outside_the_carrier():
 
 
 def test_containment_counts_small():
-    fam = enumerate_downsets(boolean(2).lattice)
-    below, above = containment_counts(fam)
+    lattice = boolean(2).lattice
+    fam = enumerate_downsets(lattice)
+    below, above = containment_counts(lattice, fam)
     assert sum(below) == 20
     assert sum(above) == 20
     assert below[0] == 1  # the empty set contains itself only
@@ -174,23 +177,24 @@ def test_containment_counts_small():
 def test_containment_counts_match_a_double_loop():
     """B3, and a family of more than 256 members wider than 63 bits; the
     sums of Python-int weights past 2**63 stay exact"""
-    b3 = enumerate_downsets(boolean(3).lattice)
-    wide = enumerate_downsets(direct_sum(chain(7), chain(59)))
+    families = [(q, enumerate_downsets(q)) for q in (boolean(3).lattice, direct_sum(chain(7), chain(59)))]
+    wide = families[1][1]
     assert len(wide) > 256 and max(wide) >= 1 << 63
-    for members in (b3, wide):
+    for q, members in families:
         below = [sum(1 for e in members if e & ~d == 0) for d in members]
         above = [sum(1 for d in members if e & ~d == 0) for e in members]
-        assert containment_counts(members) == (below, above)
+        assert containment_counts(q, members) == (below, above)
         weights = [(1 << 70) + i for i in range(len(members))]
         sums = [[sum(w for e, w in zip(members, weights) if e & ~d == 0), b] for d, b in zip(members, below)]
-        columns = np.array([weights, [1] * len(members)], dtype=object).T
-        assert containment_sums(members, columns).tolist() == sums
+        columns = [weights, [1] * len(members)]
+        assert [list(row) for row in zip(*(containment_sums(q, members, col) for col in columns))] == sums
 
 
 def test_containment_sums_on_shuffled_points():
     """Seeded random posets with shuffled point indices, so index order is no
-    linear extension, and the 0-point poset: a vector, an int64 matrix and an
-    object matrix past 2**63, each against a double loop"""
+    linear extension, and the 0-point poset: a vector, a matrix of small
+    numbers and one past 2**63, summed by columns, each against a double
+    loop"""
     rng = random.Random(1414)
     posets = [Poset([])]
     for _ in range(40):
@@ -204,17 +208,17 @@ def test_containment_sums_on_shuffled_points():
     for q in posets:
         members = enumerate_downsets(q)
         k = len(members)
-        vector = np.array([rng.randrange(100) for _ in range(k)], dtype=np.int64)
-        small = np.array([[rng.randrange(1000) for _ in range(3)] for _ in range(k)], dtype=np.int64)
-        wide = np.array([[(1 << 64) + rng.randrange(1 << 70), 1] for _ in range(k)], dtype=object)
-        for f in (vector, small, wide):
-            rows = f.reshape(k, -1).tolist()
+        vector = [[rng.randrange(100)] for _ in range(k)]
+        small = [[rng.randrange(1000) for _ in range(3)] for _ in range(k)]
+        wide = [[(1 << 64) + rng.randrange(1 << 70), 1] for _ in range(k)]
+        for rows in (vector, small, wide):
             loop = [[sum(col) for col in zip(*(r for r, e in zip(rows, members) if e & ~d == 0))]
                     for d in members]
-            assert containment_sums(members, f).reshape(k, -1).tolist() == loop
+            got = zip(*(containment_sums(q, members, list(col)) for col in zip(*rows)))
+            assert [list(row) for row in got] == loop
         below = [sum(1 for e in members if e & ~d == 0) for d in members]
         above = [sum(1 for d in members if e & ~d == 0) for e in members]
-        assert containment_counts(members) == (below, above)
+        assert containment_counts(q, members) == (below, above)
     assert enumerate_downsets(posets[0]) == (0,)
 
 
@@ -225,7 +229,7 @@ def test_containment_counts_on_b5():
     memo = {}
     below = [count_downsets(lattice, d, memo) for d in fam]
     above = [count_downsets(lattice, lattice.carrier & ~d, memo) for d in fam]
-    assert containment_counts(fam) == (below, above)
+    assert containment_counts(lattice, fam) == (below, above)
 
 
 def test_chain_product_count_past_63_bits():
@@ -317,6 +321,62 @@ def test_orbits_reject_members_outside_the_permutations():
         with pytest.raises(DomainError):
             list(orbits(masks, [swap]))
     assert list(orbits([0b10000], [])) == [[0b10000]]
+
+
+def test_containment_counts_take_members_in_any_order():
+    lattice = boolean(3).lattice
+    fam = enumerate_downsets(lattice)
+    below, above = containment_counts(lattice, fam)
+    shuffled = list(fam)
+    random.Random(3).shuffle(shuffled)
+    at = [fam.index(d) for d in shuffled]
+    assert containment_counts(lattice, shuffled) == ([below[i] for i in at], [above[i] for i in at])
+    weights = list(range(len(fam)))
+    sums = containment_sums(lattice, fam, weights)
+    assert containment_sums(lattice, shuffled, [weights[i] for i in at]) == [sums[i] for i in at]
+
+
+def brute_force_orbits(m, arr):
+    """(least member, size) per orbit of all m! coordinate permutations and
+    duality on the down-sets arr of B(m): every group element applied, one
+    bit at a time"""
+    size = 1 << m
+    bits = [(arr >> x) & 1 for x in range(size)]
+    least = arr
+    for perm in itertools.permutations(range(m)):
+        word = [sum(1 << perm[j] for j in range(m) if x >> j & 1) for x in range(size)]
+        image = sum(bits[x] << word[x] for x in range(size))
+        dual = sum((1 - bits[x]) << word[(size - 1) ^ x] for x in range(size))
+        least = np.minimum(least, np.minimum(image, dual))
+    reps, sizes = np.unique(least, return_counts=True)
+    return reps.tolist(), sizes.tolist()
+
+
+@pytest.mark.parametrize("m, swaps_only, with_duality", [
+    (0, 2, 1), (1, 3, 2), (2, 5, 3), (3, 10, 6), (4, 30, 17), (5, 210, 112)])
+def test_array_orbits_match_the_set_bfs_and_a_brute_force(m, swaps_only, with_duality):
+    'the swaps alone against orbits; with duality against every element of the group'
+    ctx = boolean(m)
+    fam = enumerate_downsets(ctx.lattice)
+    arr = np.asarray(fam, dtype=np.int64)
+    perms = coordinate_automorphisms(ctx.lattice)
+    reps, sizes = array_orbits(arr, [_relabel_array(arr, perm) for perm in perms])
+    assert list(zip(reps.tolist(), sizes.tolist())) == [(orbit[0], len(orbit)) for orbit in orbits(fam, perms)]
+    assert len(reps) == swaps_only
+    reps, sizes = array_orbits(arr, _symmetry_images(ctx, arr))
+    assert (reps.tolist(), sizes.tolist()) == brute_force_orbits(m, arr)
+    assert len(reps) == with_duality
+
+
+def test_array_orbits_reject_a_map_that_does_not_permute_the_set():
+    arr = np.asarray(enumerate_downsets(boolean(2).lattice), dtype=np.int64)
+    swap = coordinate_automorphisms(boolean(2).lattice)[0]  # swaps words 01 and 10
+    reps, sizes = array_orbits(arr, [_relabel_array(arr, swap)])
+    assert (reps.tolist(), sizes.tolist()) == ([0, 1, 3, 7, 15], [1, 1, 2, 1, 1])
+    lopsided = np.asarray([0b0001, 0b0011], dtype=np.int64)
+    for images in ([_relabel_array(lopsided, swap)], [np.asarray([0b0011, 0b0011], dtype=np.int64)]):
+        with pytest.raises(StructureError):
+            array_orbits(lopsided, images)
 
 
 @pytest.mark.parametrize("which, terms, classes", [("middle5", 1024, 34), ("B4", 64, 11)])
