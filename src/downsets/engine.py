@@ -44,9 +44,6 @@ down-sets of the dual are the complements, and D - x is one of p's exactly
 when the complement of D plus x is one of the dual's; so the same pairs,
 swept in the reverse order and direction, sum over the members containing
 each one.
-
-Orbits of maps applied to a whole array of masks at once go through
-array_orbits, which labels each member by the least member of its orbit.
 """
 
 import functools
@@ -273,20 +270,28 @@ def _containment_pairs(p, members):
     """The additions of the zeta transform over members, all down-sets of p
     in any order: per point x with any, in a linear extension, the flat array
     d0, s0, d1, s1, ... of the positions of each member D with x maximal and
-    of D - x.  Maximal points come from one table of strict down rows."""
+    of D - x.  Maximal points come from one table of strict down rows.
+    NotADownSet for a member that is not a down-set of p, StructureError
+    when some D - x is not a member."""
     from array import array  # an extension module, which count need not load
 
     index = {d: i for i, d in enumerate(members)}
     tables = _byte_tables([row ^ (1 << i) for i, row in enumerate(p.down)])
     pairs = [array("l") for _ in range(p.n)]
     for i, d in enumerate(members):
-        tops = d & ~_by_bytes(d, tables)
+        under = _by_bytes(d, tables)
+        if under & ~d:
+            raise NotADownSet("member 0x%x is not a down-set" % d)
+        tops = d & ~under
         while tops:
             low = tops & -tops
             tops ^= low
+            at = index.get(d ^ low)
+            if at is None:
+                raise StructureError("0x%x is a down-set but not a member" % (d ^ low))
             pair = pairs[low.bit_length() - 1]
             pair.append(i)
-            pair.append(index[d ^ low])
+            pair.append(at)
     return [pairs[x] for x in sorted(range(p.n), key=lambda x: _popcount(p.down[x])) if pairs[x]]
 
 
@@ -304,15 +309,17 @@ def containment_sums(p, members, f):
     """Per member, the sum of the numbers f (one per member) over the members
     it contains, by the zeta transform of the module docstring.  members are
     all down-sets of p, in any order; each partial sum is a sub-sum of the
-    final one."""
+    final one.  NotADownSet or StructureError for other members, as from
+    _containment_pairs."""
     return _zeta(_containment_pairs(p, members), f)
 
 
 def containment_counts(p, members):
     """Per member: how many members it contains and how many contain it.
-    members are all down-sets of p, in any order.  Both counts sweep one set
-    of pairs: the second in the reverse order and direction, which is the
-    zeta transform over the complements, the down-sets of the dual."""
+    members are all down-sets of p, in any order, as for containment_sums.
+    Both counts sweep one set of pairs: the second in the reverse order and
+    direction, which is the zeta transform over the complements, the
+    down-sets of the dual."""
     pairs = _containment_pairs(p, members)
     below = _zeta(pairs, [1] * len(members))
     above = [1] * len(members)
@@ -390,59 +397,3 @@ def orbits(masks, perms):
                     seen.add(image)
                     orbit.append(image)
         yield orbit
-
-
-def _relabel_array(arr, image):
-    """The masks of the int64 numpy array arr with each point i moved to
-    image[i], through the byte tables of the rows 1 << image[i]: one lookup
-    per byte for the whole array.  Every image must stay below 63, and
-    IndexError for a mask with a point past image."""
-    import numpy as np
-
-    out = np.zeros_like(arr)
-    for j, table in enumerate(_byte_tables([1 << point for point in image])):
-        out |= np.array(table, dtype=np.int64)[(arr >> 8 * j) & 255]
-    return out
-
-
-def array_orbits(members, images):
-    """Orbits on a set of masks under maps given by their images, computed on
-    whole arrays.  members is an ascending int64 numpy array, and images has
-    one array per map, the image of each member.  Returns the least member
-    of each orbit, ascending, and the orbit sizes: what orbits yields as
-    orbit[0] and len(orbit).
-
-    searchsorted finds each image's position, and a map permutes the set
-    when every position holds the image of some member.  Labels start as
-    positions; each round lowers every label to the least label of its
-    images, then jumps pointers (lab = lab[lab]) until they settle.  A map
-    that permutes a finite set runs in cycles, so labels that no round
-    lowers are constant on each orbit, and the orbit's least position keeps
-    its own.  StructureError when a map sends a member outside the set or
-    two members to one.  Few distinct numpy functions are used, since the
-    first call of each pages in more of numpy (np.unique alone about
-    0.75 MB).
-    """
-    import numpy as np
-
-    positions = np.arange(len(members))
-    targets = []
-    for image in images:
-        at = np.searchsorted(members, image)
-        hit = np.zeros(len(members), dtype=bool)
-        hit[at[members[np.minimum(at, len(members) - 1)] == image]] = True
-        if not hit.all():
-            raise StructureError("a map does not permute the set")
-        targets.append(at)
-    labels = positions
-    while True:
-        lowered = labels
-        for at in targets:
-            lowered = np.minimum(lowered, labels[at])
-        while not ((jumped := lowered[lowered]) == lowered).all():
-            lowered = jumped
-        if (lowered == labels).all():
-            break
-        labels = lowered
-    least = np.flatnonzero(labels == positions)
-    return members[least], np.bincount(labels)[least]

@@ -1,8 +1,8 @@
+import collections
 import itertools
 import math
 import random
 
-import numpy as np
 import pytest
 
 from downsets import (
@@ -20,6 +20,7 @@ from downsets import (
     count_downsets,
     count_via_decomposition,
     decompose,
+    dedekind_standard,
     direct_sum,
     enumerate_downsets,
     from_covers,
@@ -28,8 +29,8 @@ from downsets import (
     product,
     sub_poset,
 )
-from downsets.boolean import _symmetry_images
-from downsets.engine import _relabel_array, array_orbits, containment_sums, coordinate_automorphisms, orbits
+from downsets.boolean import _symmetric_orbits
+from downsets.engine import containment_sums, coordinate_automorphisms, orbits
 from downsets.poset import _by_bytes, _byte_tables, _or_table, _relabel
 from conftest import random_poset, random_submask
 
@@ -336,47 +337,52 @@ def test_containment_counts_take_members_in_any_order():
     assert containment_sums(lattice, shuffled, [weights[i] for i in at]) == [sums[i] for i in at]
 
 
-def brute_force_orbits(m, arr):
+def test_containment_counts_reject_a_family_that_is_not_all_the_downsets():
+    lattice = boolean(2).lattice
+    for fam, error in [((0, 0b11), StructureError),  # 0b11 - {1} = 0b01 is a down-set, not a member
+                       ((0, 0b01, 0b10), NotADownSet)]:  # point 1 (word 01) without point 0 below it
+        with pytest.raises(error):
+            containment_counts(lattice, fam)
+        with pytest.raises(error):
+            containment_sums(lattice, fam, [1] * len(fam))
+
+
+def brute_force_orbits(m, fam):
     """(least member, size) per orbit of all m! coordinate permutations and
-    duality on the down-sets arr of B(m): every group element applied, one
-    bit at a time"""
+    duality on the down-sets fam of B(m): every group element applied, one
+    point at a time"""
     size = 1 << m
-    bits = [(arr >> x) & 1 for x in range(size)]
-    least = arr
-    for perm in itertools.permutations(range(m)):
-        word = [sum(1 << perm[j] for j in range(m) if x >> j & 1) for x in range(size)]
-        image = sum(bits[x] << word[x] for x in range(size))
-        dual = sum((1 - bits[x]) << word[(size - 1) ^ x] for x in range(size))
-        least = np.minimum(least, np.minimum(image, dual))
-    reps, sizes = np.unique(least, return_counts=True)
-    return reps.tolist(), sizes.tolist()
+    words = [[sum(1 << perm[j] for j in range(m) if x >> j & 1) for x in range(size)]
+             for perm in itertools.permutations(range(m))]
+    least = collections.Counter()
+    for d in fam:
+        images = []
+        for word in words:
+            images.append(sum(1 << word[x] for x in range(size) if d >> x & 1))
+            images.append(sum(1 << word[(size - 1) ^ x] for x in range(size) if not d >> x & 1))
+        least[min(images)] += 1
+    return sorted(least.items())
 
 
-@pytest.mark.parametrize("m, swaps_only, with_duality", [
-    (0, 2, 1), (1, 3, 2), (2, 5, 3), (3, 10, 6), (4, 30, 17), (5, 210, 112)])
-def test_array_orbits_match_the_set_bfs_and_a_brute_force(m, swaps_only, with_duality):
-    'the swaps alone against orbits; with duality against every element of the group'
-    ctx = boolean(m)
-    fam = enumerate_downsets(ctx.lattice)
-    arr = np.asarray(fam, dtype=np.int64)
-    perms = coordinate_automorphisms(ctx.lattice)
-    reps, sizes = array_orbits(arr, [_relabel_array(arr, perm) for perm in perms])
-    assert list(zip(reps.tolist(), sizes.tolist())) == [(orbit[0], len(orbit)) for orbit in orbits(fam, perms)]
-    assert len(reps) == swaps_only
-    reps, sizes = array_orbits(arr, _symmetry_images(ctx, arr))
-    assert (reps.tolist(), sizes.tolist()) == brute_force_orbits(m, arr)
-    assert len(reps) == with_duality
+@pytest.mark.parametrize("m, expected", [(0, 1), (1, 2), (2, 3), (3, 6), (4, 17), (5, 112)])
+def test_standard_orbits_match_a_brute_force(m, expected):
+    'swap orbits joined by duality against every element of the group; the brute force takes 7 s at m = 5'
+    lattice = boolean(m).lattice
+    fam = enumerate_downsets(lattice)
+    found = _symmetric_orbits(lattice, fam)
+    assert len(found) == expected
+    assert sorted(d for orbit in found for d in orbit) == list(fam)
+    if m <= 4:
+        assert [(orbit[0], len(orbit)) for orbit in found] == brute_force_orbits(m, fam)
 
 
-def test_array_orbits_reject_a_map_that_does_not_permute_the_set():
-    arr = np.asarray(enumerate_downsets(boolean(2).lattice), dtype=np.int64)
-    swap = coordinate_automorphisms(boolean(2).lattice)[0]  # swaps words 01 and 10
-    reps, sizes = array_orbits(arr, [_relabel_array(arr, swap)])
-    assert (reps.tolist(), sizes.tolist()) == ([0, 1, 3, 7, 15], [1, 1, 2, 1, 1])
-    lopsided = np.asarray([0b0001, 0b0011], dtype=np.int64)
-    for images in ([_relabel_array(lopsided, swap)], [np.asarray([0b0011, 0b0011], dtype=np.int64)]):
-        with pytest.raises(StructureError):
-            array_orbits(lopsided, images)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_standard_matches_a_double_loop(n):
+    'the sum over orbits and transposed rows against below(D & E) * above(D | E) over every ordered pair'
+    fam = enumerate_downsets(boolean(n - 2).lattice)
+    below = {x: sum(e & x == e for e in fam) for x in fam}
+    above = {x: sum(e & x == x for e in fam) for x in fam}
+    assert sum(below[d & e] * above[d | e] for d in fam for e in fam) == dedekind_standard(n).value
 
 
 @pytest.mark.parametrize("which, terms, classes", [("middle5", 1024, 34), ("B4", 64, 11)])
