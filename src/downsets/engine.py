@@ -272,10 +272,12 @@ def _containment_pairs(p, members):
     d0, s0, d1, s1, ... of the positions of each member D with x maximal and
     of D - x.  Maximal points come from one table of strict down rows.
     NotADownSet for a member that is not a down-set of p, StructureError
-    when some D - x is not a member."""
+    for a member listed twice or when some D - x is not a member."""
     from array import array  # an extension module, which count need not load
 
     index = {d: i for i, d in enumerate(members)}
+    if len(index) != len(members):
+        raise StructureError("a member is listed twice")
     tables = _byte_tables([row ^ (1 << i) for i, row in enumerate(p.down)])
     pairs = [array("l") for _ in range(p.n)]
     for i, d in enumerate(members):

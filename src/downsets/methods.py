@@ -270,17 +270,27 @@ def _levels(counter, full):
         yield mask
 
 
-def _mu_counters(mid):
-    """(full, lowers, uppers) over the subsets x of the k level-3 points of
-    mid, subset x being bit x of a 2**k-bit int and full having every bit.
-    lowers counts the level-2 points not under x, uppers the level-4 points
-    whose level-3 points below are all in x; both are bit-sliced counters of
-    4 planes.  Each one-bit plane is added as soon as it is made."""
+_MU_FIXED = 4  # the sweep runs in 2**_MU_FIXED slices of 2**(20 - _MU_FIXED)-bit ints
+
+
+def _mu_counters(mid, fixed, top):
+    """(full, lowers, uppers) over the subsets of the k level-3 points of mid
+    whose top fixed points are the set bits of top: the subset with local
+    part x among the other k - fixed points is bit x of a 2**(k - fixed)-bit
+    int, and full has every bit.  So the planes of the fixed points are full
+    or 0.  lowers counts the level-2 points not under the subset, uppers the
+    level-4 points whose level-3 points below are all in it; both are
+    bit-sliced counters of 4 planes.  Each one-bit plane is added as soon as
+    it is made."""
     level = [_popcount(word) for word in mid.parent_map]
     l3 = [u for u in range(mid.n) if level[u] == 3]
     lv3 = sum(1 << u for u in l3)
-    planes = {u: _plane(len(l3), b) for b, u in enumerate(l3)}
-    full = (1 << (1 << len(l3))) - 1
+    free = len(l3) - fixed
+    full = (1 << (1 << free)) - 1
+    planes = {
+        u: _plane(free, b) if b < free else full * (top >> b - free & 1)
+        for b, u in enumerate(l3)
+    }
     lowers, uppers = [0] * 4, [0] * 4
     for p in range(mid.n):
         if level[p] == 2:
@@ -296,20 +306,33 @@ def _mu_counters(mid):
     return full, lowers, uppers
 
 
+def _mu_sweep(mid, fixed):
+    '''the 16 x 16 mu table of mid, summed cell by cell over the 2**fixed
+    slices of _mu_counters; a slice's empty rows and columns are skipped'''
+    table = [[0] * 16 for _ in range(16)]
+    for top in range(1 << fixed):
+        full, lowers, uppers = _mu_counters(mid, fixed, top)
+        cols = [(j, col) for j, col in enumerate(_levels(uppers, full)) if col]
+        for cells, row in zip(table, _levels(lowers, full)):
+            if row:
+                for j, col in cols:
+                    cells[j] += (row & col).bit_count()
+    return table
+
+
 def bmm6_mu():
     """Mid-level sweep: one term per subset N of the 20 level-3 points.  The
     residual is an antichain made of the level-2 points not under N and the
     level-4 points not over the complement of N; mu[i][j] tallies subsets by
     the two sizes, and the count is sum mu[i][j] * 2^(i+j).
 
-    The sweep is bit-parallel over Python ints: subset x is bit x, each of
-    the two sizes (at most 15) is a bit-sliced counter from _mu_counters,
-    and mu[i][j] is the bit count of (lower size == i) & (upper size == j).
-    The column masks are kept and the row masks made one at a time."""
+    The sweep is bit-parallel over Python ints: each of the two sizes (at
+    most 15) is a bit-sliced counter from _mu_counters, and mu[i][j] is the
+    bit count of (lower size == i) & (upper size == j).  It runs in 16
+    slices, one per subset of the top 4 level-3 points, each over 2^16-bit
+    ints, and adds the slices' tables."""
     t0 = time.perf_counter()
-    full, lowers, uppers = _mu_counters(sub_poset(boolean(6), "middle"))
-    cols = list(_levels(uppers, full))
-    table = [[(row & col).bit_count() for col in cols] for row in _levels(lowers, full)]
+    table = _mu_sweep(sub_poset(boolean(6), "middle"), _MU_FIXED)
     value = sum(table[i][j] << (i + j) for i in range(16) for j in range(16))
     return MethodReport(
         method="mu", value=value, table=table,

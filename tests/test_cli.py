@@ -378,6 +378,25 @@ def test_a_failed_catalogue_build_fails_each_check_that_shares_it(capsys, monkey
         "FAIL catalogue: no catalogue", "FAIL class-constancy: no catalogue", "2 checks, 2 failed"]
 
 
+def test_strict_verify_finds_the_pairs_of_q23_once(capsys, monkeypatch):
+    'lemma2 finds the contained pairs of q23; the product identity counts chain(2) x q23 directly'
+    from downsets import engine, methods
+
+    pairs = engine._containment_pairs
+    found = []
+
+    def counted(p, members):
+        found.append(p)
+        return pairs(p, members)
+
+    monkeypatch.setattr(engine, "_containment_pairs", counted)
+    monkeypatch.setattr(methods, "_containment_pairs", counted)
+    code, out, _ = run(["verify", "--strict"], capsys)
+    assert code == 0, out
+    q23 = methods.build_qsplit().q23
+    assert sum(p == q23 for p in found) == 1
+
+
 def test_verify_reports_an_injected_fault(capsys, monkeypatch):
     monkeypatch.setattr(cli, "NU_ROW", (1,) * 11)
     code, out, _ = run(["verify"], capsys)

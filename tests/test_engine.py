@@ -339,8 +339,10 @@ def test_containment_counts_take_members_in_any_order():
 
 def test_containment_counts_reject_a_family_that_is_not_all_the_downsets():
     lattice = boolean(2).lattice
+    every = enumerate_downsets(lattice)
     for fam, error in [((0, 0b11), StructureError),  # 0b11 - {1} = 0b01 is a down-set, not a member
-                       ((0, 0b01, 0b10), NotADownSet)]:  # point 1 (word 01) without point 0 below it
+                       ((0, 0b01, 0b10), NotADownSet),  # point 1 (word 01) without point 0 below it
+                       (every + every[-1:], StructureError)]:  # a member listed twice
         with pytest.raises(error):
             containment_counts(lattice, fam)
         with pytest.raises(error):

@@ -12,6 +12,7 @@ from downsets import (
     bmm6_iso,
     bmm6_lemma2_reference,
     bmm6_mu,
+    boolean,
     build_qsplit,
     build_sigma_precomp,
     chain,
@@ -28,9 +29,12 @@ from downsets import (
     s_of,
     sigma_fast,
     sigma_reference,
+    sub_poset,
     t_of,
 )
-from downsets.methods import _gamma_pivot, _levels, _plane, _tally, fringe_counts, gamma_residual_multiset
+from downsets.methods import (
+    _gamma_pivot, _levels, _mu_sweep, _plane, _tally, fringe_counts, gamma_residual_multiset,
+)
 from downsets.poset import _bits, _popcount
 from conftest import random_poset, random_submask
 from frozen import (
@@ -195,6 +199,28 @@ def test_mu_sweep():
     for i in range(16):
         for j in range(16):
             assert grid[i][j] == grid[j][i]
+
+
+@pytest.mark.parametrize("fixed", [0, 1, 4, 8])
+def test_mu_sweep_is_slice_invariant(fixed):
+    'fixing the top level-3 points slices the sweep; the slices add up to the one table'
+    table = _mu_sweep(sub_poset(boolean(6), "middle"), fixed)
+    assert tuple(tuple(row) for row in table) == MU_GRID
+    assert sum(table[i][j] << (i + j) for i in range(16) for j in range(16)) == BMM6
+
+
+def test_mu_sweep_stays_small():
+    'the sliced sweep holds 2**16-bit ints, not the 2**20-bit ones of one slice (4.5 MB)'
+    import tracemalloc
+
+    bmm6_mu()  # the lattice and the imports are not the sweep's
+    tracemalloc.start()
+    try:
+        bmm6_mu()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("k", range(1, 9))
