@@ -39,10 +39,11 @@ NU_ROW = (388, 290, 195, 70, 40, 30, 0, 10, 0, 0, 1)
 
 
 def _build_parser():
+    jobs = dict(type=int, default=1, metavar="N",
+                help="accepted and ignored: every command runs in one process")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="accepted and ignored: every command runs in one process")
+    common.add_argument("--jobs", **jobs)
     parser = argparse.ArgumentParser(
         prog="downsets",
         description="count and decompose down-sets of finite posets",
@@ -66,7 +67,8 @@ def _build_parser():
     t = sub.add_parser("tables", parents=[common], help="emit a coefficient table")
     t.add_argument("which", choices=("nu", "gamma", "mu", "iso"))
 
-    v = sub.add_parser("verify", parents=[common], help="run the verification suite")
+    v = sub.add_parser("verify", help="run the verification suite")
+    v.add_argument("--jobs", **jobs)  # verify prints text only, so it takes no --format
     v.add_argument("--strict", action="store_true",
                    help="additionally sample non-representative class members")
     return parser

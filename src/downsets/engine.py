@@ -12,9 +12,11 @@ t**-a + t**-b == 1: a recursion that always removes a and b points makes
 about t**n leaves.  The single-point split d(C) = d(C - x) +
 d(C - (up(x) | down(x))) removes (1, a + b - 1) points, whose branching
 number is never smaller by convexity; it is the two-way split at a minimal or
-maximal x.  Components are counted independently through a bitmask-keyed
-memo.  Any point set of p can be counted, so the residuals of a trace
-decomposition stay point sets of the decomposed poset and share one memo.
+maximal x.  A point set counts as the product of its components' counts, and
+the memo keys only connected sets of two or more points: a disconnected set
+is never stored, since its components are.  Any point set of p can be
+counted, so the residuals of a trace decomposition stay point sets of the
+decomposed poset and share one memo.
 
 Enumeration takes its pivots by the same rule but removes one point per
 level: every down-set D of the sub-poset on a mask maps to D - {x}, a
@@ -127,8 +129,10 @@ def count_downsets(p, mask=None, memo=None):
 
     Each connected component C of two or more points splits on
     x = _pivot(p, C) into d(C - up(x)) + d(C - down(x)); an isolated point
-    counts 2.  memo maps point sets of p to their counts, so calls on one p
-    may share it.  IndexError, as from Poset.components, for a mask outside p.
+    counts 2, and a set counts as the product of its components' counts.
+    memo maps connected point sets of p with two or more points to their
+    counts, so calls on one p may share it.  IndexError, as from
+    Poset.components, for a mask outside p.
     """
     if mask is None:
         mask = p.carrier
@@ -136,11 +140,6 @@ def count_downsets(p, mask=None, memo=None):
         memo = {}
 
     def count(mask):
-        if mask == 0:
-            return 1
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
         total = 1
         for comp in p.components(mask):
             if comp & (comp - 1) == 0:
@@ -151,7 +150,6 @@ def count_downsets(p, mask=None, memo=None):
                 x = _pivot(p, comp)
                 hit = memo[comp] = count(comp & ~p.up[x]) + count(comp & ~p.down[x])
             total *= hit
-        memo[mask] = total
         return total
 
     return count(mask)

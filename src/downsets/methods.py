@@ -273,45 +273,40 @@ def _levels(counter, full):
 _MU_FIXED = 4  # the sweep runs in 2**_MU_FIXED slices of 2**(20 - _MU_FIXED)-bit ints
 
 
-def _mu_counters(mid, fixed, top):
-    """(full, lowers, uppers) over the subsets of the k level-3 points of mid
-    whose top fixed points are the set bits of top: the subset with local
-    part x among the other k - fixed points is bit x of a 2**(k - fixed)-bit
-    int, and full has every bit.  So the planes of the fixed points are full
-    or 0.  lowers counts the level-2 points not under the subset, uppers the
-    level-4 points whose level-3 points below are all in it; both are
-    bit-sliced counters of 4 planes.  Each one-bit plane is added as soon as
-    it is made."""
+def _mu_sweep(mid, fixed):
+    """the 16 x 16 mu table of mid, summed cell by cell over 2**fixed slices.
+
+    A slice fixes the top fixed level-3 points of mid to the set bits of top:
+    the subset with local part x among the other free points is bit x of a
+    2**free-bit int, and full has every bit.  So the planes of the fixed
+    points are full or 0, and only they change from slice to slice.  lowers
+    counts the level-2 points not under the subset, uppers the level-4 points
+    whose level-3 points below are all in it; both are bit-sliced counters of
+    4 planes, and each one-bit plane is added as soon as it is made.  A
+    slice's empty rows and columns are skipped."""
     level = [_popcount(word) for word in mid.parent_map]
     l3 = [u for u in range(mid.n) if level[u] == 3]
     lv3 = sum(1 << u for u in l3)
+    above = [tuple(_bits(mid.up[p] & lv3)) for p in range(mid.n) if level[p] == 2]
+    below = [tuple(_bits(mid.down[p] & lv3)) for p in range(mid.n) if level[p] == 4]
     free = len(l3) - fixed
     full = (1 << (1 << free)) - 1
-    planes = {
-        u: _plane(free, b) if b < free else full * (top >> b - free & 1)
-        for b, u in enumerate(l3)
-    }
-    lowers, uppers = [0] * 4, [0] * 4
-    for p in range(mid.n):
-        if level[p] == 2:
-            covered = 0
-            for u in _bits(mid.up[p] & lv3):
-                covered |= planes[u]
-            _tally(lowers, full ^ covered)
-        elif level[p] == 4:
-            held = full
-            for u in _bits(mid.down[p] & lv3):
-                held &= planes[u]
-            _tally(uppers, held)
-    return full, lowers, uppers
-
-
-def _mu_sweep(mid, fixed):
-    '''the 16 x 16 mu table of mid, summed cell by cell over the 2**fixed
-    slices of _mu_counters; a slice's empty rows and columns are skipped'''
+    planes = {u: _plane(free, b) for b, u in enumerate(l3[:free])}
     table = [[0] * 16 for _ in range(16)]
     for top in range(1 << fixed):
-        full, lowers, uppers = _mu_counters(mid, fixed, top)
+        for b, u in enumerate(l3[free:]):
+            planes[u] = full * (top >> b & 1)
+        lowers, uppers = [0] * 4, [0] * 4
+        for us in above:
+            covered = 0
+            for u in us:
+                covered |= planes[u]
+            _tally(lowers, full ^ covered)
+        for us in below:
+            held = full
+            for u in us:
+                held &= planes[u]
+            _tally(uppers, held)
         cols = [(j, col) for j, col in enumerate(_levels(uppers, full)) if col]
         for cells, row in zip(table, _levels(lowers, full)):
             if row:
@@ -327,7 +322,7 @@ def bmm6_mu():
     the two sizes, and the count is sum mu[i][j] * 2^(i+j).
 
     The sweep is bit-parallel over Python ints: each of the two sizes (at
-    most 15) is a bit-sliced counter from _mu_counters, and mu[i][j] is the
+    most 15) is a bit-sliced counter from _mu_sweep, and mu[i][j] is the
     bit count of (lower size == i) & (upper size == j).  It runs in 16
     slices, one per subset of the top 4 level-3 points, each over 2^16-bit
     ints, and adds the slices' tables."""

@@ -397,6 +397,15 @@ def test_strict_verify_finds_the_pairs_of_q23_once(capsys, monkeypatch):
     assert sum(p == q23 for p in found) == 1
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_takes_no_format(capsys, fmt):
+    'verify prints its text report only, so a --format is a usage error'
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--format", fmt])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
 def test_verify_reports_an_injected_fault(capsys, monkeypatch):
     monkeypatch.setattr(cli, "NU_ROW", (1,) * 11)
     code, out, _ = run(["verify"], capsys)

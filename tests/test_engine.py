@@ -122,6 +122,27 @@ def test_terms_of_one_decomposition_share_a_memo():
     assert sum(counts) == count_downsets(ctx.lattice) == 168
 
 
+def _assert_memo_keys_are_connected(p, memo):
+    for key in memo:
+        assert key & (key - 1), key  # two or more points
+        assert len(p.components(key)) == 1, key
+
+
+def test_memo_keys_are_connected_sets():
+    'a disconnected set counts as the product of its components and is never stored'
+    middle = sub_poset(boolean(6), "middle")
+    memo = {}
+    assert count_downsets(middle, None, memo) == 7741776
+    _assert_memo_keys_are_connected(middle, memo)
+    assert len(memo) < 5000
+    rng = random.Random(2207)
+    for _ in range(30):
+        p = random_poset(rng, 12, density=rng.choice([0.1, 0.2, 0.4]))
+        memo = {}
+        assert count_downsets(p, None, memo) == len(enumerate_downsets(p))
+        _assert_memo_keys_are_connected(p, memo)
+
+
 def test_count_rejects_masks_outside_the_carrier():
     p = chain(3)
     for mask in (0b1000, -1):
