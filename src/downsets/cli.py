@@ -101,6 +101,9 @@ def _parse_pivot(p, text):
     mask = 0
     for tok in text.replace(",", " ").split():
         try:
+            # ASCII digits only, as in the file format: int() alone takes '+3', '1_0' and '\u0663'
+            if not (tok.isascii() and tok.isdigit()):
+                raise ValueError
             i = int(tok)
         except ValueError:
             raise ParseError("pivot index %r is not an integer" % tok)
@@ -174,8 +177,6 @@ def _route(method, n):
     if (method, n) in routes:
         return routes[method, n]()
     sizes = [str(k) for m, k in routes if m == method]
-    if not sizes:
-        raise DomainError("unknown method %r" % method)
     if len(sizes) == 1:
         raise DomainError("method %s covers n = %s only" % (method, sizes[0]))
     raise DomainError("method %s covers n = %s" % (method, " and ".join(sizes)))

@@ -20,7 +20,6 @@ count with another orbit decides which orbits merge.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .engine import coordinate_automorphisms, orbits
 from .errors import CapacityError, StructureError
@@ -133,24 +132,14 @@ def strip_isolated(p):
 
 
 def _has_crown(q23, uppers, lowers):
-    """Induced 4 + 4 sub-poset whose comparability graph is a single
-    8-cycle: each chosen lower under exactly two chosen uppers, each chosen
-    upper over exactly two chosen lowers, all in one cycle."""
-    ups = list(_bits(uppers))
-    lows = list(_bits(lowers))
-    if len(ups) < 4 or len(lows) < 4:
-        return False
-    for four_up in combinations(ups, 4):
-        up_mask = sum(1 << u for u in four_up)
-        cands = [l for l in lows if _popcount(q23.up[l] & up_mask) == 2]
-        for four_low in combinations(cands, 4):
-            # a degree-2 bipartite graph on 4 + 4 points is one 8-cycle or
-            # two 4-cycles, and only the latter has two lowers under the
-            # same two uppers
-            nbhds = [q23.up[l] & up_mask for l in four_low]
-            if len(set(nbhds)) == 4 and all(sum(n >> u & 1 for n in nbhds) == 2 for u in four_up):
-                return True
-    return False
+    """Whether the lowers under exactly two uppers and the uppers make an
+    8-crown, one 8-cycle of comparabilities.  Their upper-pairs must be four
+    and distinct, and every upper must lie in two of them: a degree-2
+    bipartite graph on 4 + 4 points is one 8-cycle or two 4-cycles, and only
+    the latter has two lowers under the same two uppers."""
+    pairs = [pair for pair in (q23.up[l] & uppers for l in _bits(lowers)) if _popcount(pair) == 2]
+    return (len(set(pairs)) == len(pairs) == 4
+            and all(sum(pair >> u & 1 for pair in pairs) == 2 for u in _bits(uppers)))
 
 
 def type_code(q23, core_mask):

@@ -89,7 +89,7 @@ def build_qsplit():
         q23=q23,
         q23_lowers={i: b for b, i in enumerate(_bits(q23.minimal_points()))},
         e_rows=e_rows,
-        upper_fringe=_upper_fringe(q23, e2, e_rows),
+        upper_fringe=_upper_fringe(q23),
     )
 
 
@@ -387,8 +387,9 @@ class SigmaPrecomp:
     free fringe digits alive.  pair_g lists, per qualifying upper pair, the
     single outside lower point compatible with the pair's free digit.  n34
     counts qualifying upper triples and quadruples, each contributing one.
-    All such data is derived empirically from e-evaluations and validated;
-    a violated shape raises StructureError.
+    The groups and qualifying sets are the split's upper_fringe, read off
+    the binary words by _upper_fringe; build_sigma_precomp checks only that
+    the representative is an isolated-free down-set.
     """
     rep: int
     uppers: tuple
@@ -402,51 +403,34 @@ class SigmaPrecomp:
     t1: list
 
 
-def _upper_fringe(q23, e2, e_rows):
-    """(groups, qualifying) over all upper points of the bottom block q23:
-    groups[u] is (g1[u], g2[u]) of every SigmaPrecomp, and qualifying maps
-    each upper set of two to four points with positive e (a q23 mask) to its
-    compatible lower point, for a pair, or to 0.  A point's e-row covers the
-    e-rows below it, so e of any closure is an upper-subset OR of e-rows.
+def _upper_fringe(q23):
+    """(groups, qualifying) over all upper points of the bottom block q23,
+    read off the words: a q23 point is a word of 2 or 3 of the 5 low digits,
+    and e of a set is the number of digits that none of its words holds.
+
+    An upper u leaves two digits d free; groups[u] is (g1[u], g2[u]) of
+    every SigmaPrecomp, per free d the three lowers {i, d} with i in u.  A
+    set of two to four uppers has positive e exactly when its words lie
+    inside one 4-digit word f, so qualifying maps each subset of f's four
+    3-subsets with two or more of them (a q23 mask) to its compatible lower:
+    for a pair u, v the lower u ^ v, the only one of f's six lowers outside
+    the pair's closure, and 0 for a triple or quadruple, which covers all six.
     """
-    lowers_all = q23.minimal_points()
-    ups = list(_bits(q23.carrier & ~lowers_all))
-    masks = _or_table([1 << u for u in ups])
-    e_ors = _or_table([e_rows[u] for u in ups])
-    belows = _or_table([q23.down[u] & lowers_all for u in ups])
-
-    def e(rows_or):
-        return _popcount(e2 & ~rows_or)
-
+    local = {w: i for i, w in enumerate(q23.parent_map)}
     groups = {}
+    for w, i in local.items():
+        if _popcount(w) == 3:
+            groups[i] = tuple(sum(1 << local[1 << b | 1 << d] for b in _bits(w))
+                              for d in range(5) if not w >> d & 1)
     qualifying = {}
-    for m in range(1, len(masks)):
-        size, e_or, below = _popcount(m), e_ors[m], belows[m]
-        if size == 1:
-            if e(e_or) != 2:
-                raise StructureError("single-upper core has e = %d, expected 2" % e(e_or))
-            # an outside lower with e = 1 leaves one of u's two free digits
-            # alive; lowers leaving the same digit cover the same e-points
-            found = {}
-            for z in _bits(lowers_all & ~below):
-                covered = e_or | e_rows[z]
-                if e(covered) == 1:
-                    found[covered] = found.get(covered, 0) | 1 << z
-                elif e(covered):
-                    raise StructureError("outside lower keeps e at %d" % e(covered))
-            if sorted(map(_popcount, found.values())) != [3, 3]:
-                raise StructureError("expected two disjoint 3-point groups per upper point")
-            groups[masks[m].bit_length() - 1] = tuple(found.values())
-        elif e(e_or) == 0:
-            continue
-        else:
-            # a qualifying pair covers 5 lowers and admits one compatible
-            # lower, a triple or quadruple covers 6 and admits none
-            cands = [1 << z for z in _bits(lowers_all & ~below) if e(e_or | e_rows[z])]
-            if size > 4 or (_popcount(below), len(cands)) != ((5, 1) if size == 2 else (6, 0)):
-                raise StructureError("qualifying upper %d-set covers %d lowers and admits %d compatible ones"
-                                     % (size, _popcount(below), len(cands)))
-            qualifying[masks[m]] = sum(cands)
+    for f in range(32):
+        if _popcount(f) == 4:
+            digits = [1 << d for d in _bits(f)]
+            # entry m is the uppers f ^ d, and the OR of the digits d, over the bits of m
+            uppers = _or_table([1 << local[f ^ d] for d in digits])
+            for m, dropped in enumerate(_or_table(digits)):
+                if _popcount(m) > 1:
+                    qualifying[uppers[m]] = 1 << local[dropped] if _popcount(m) == 2 else 0
     return groups, qualifying
 
 

@@ -410,7 +410,7 @@ def poset_from_text(text):
     if n is None:
         raise ParseError("missing points line")
     lab = None
-    if labels:
+    if labels and n <= MAX_POINTS:
         lab = tuple(labels.get(i) for i in range(n))
     try:
         return from_covers(n, covers, labels=lab)

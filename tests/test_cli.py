@@ -12,7 +12,7 @@ from downsets import StructureError, boolean, poset_to_text, sub_poset
 from downsets import cli
 from downsets.poset import _popcount
 from conftest import random_poset
-from frozen import CATALOGUE, MU_GRID, NU_ROW
+from frozen import CATALOGUE, GAMMA_COLUMNS, GAMMA_ROWS, MU_GRID, NU_ROW
 
 DIAMOND_TEXT = """poset v1
 points 4
@@ -131,6 +131,14 @@ def test_count_bad_pivot(diamond_file, capsys):
     code, _, err = run(["count", diamond_file, "--pivot", "0,9"], capsys)
     assert code == 2
     assert "out of range" in err
+
+
+@pytest.mark.parametrize("token", ["1_0", "+3", "-0", "\u0663", "3.0"])
+def test_count_pivot_takes_ascii_digits_only(middle5_file, capsys, token):
+    'as in the file format: int() alone would read the first four as 10, 3, 0 and 3'
+    code, out, err = run(["count", middle5_file, "--pivot=" + token], capsys)
+    assert (code, out) == (2, "")
+    assert err == "parse error: pivot index %r is not an integer\n" % token
 
 
 def test_count_term_limit(middle5_file, capsys):
@@ -335,6 +343,27 @@ def test_tables_iso(capsys):
     assert len(lines) == 35
     want = ["%s,%d,%d,%d,%d,%d,%d" % row for row in CATALOGUE]
     assert lines[1:] == want
+
+
+def test_tables_gamma_json(capsys):
+    code, out, _ = run(["tables", "gamma", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"columns": [list(col) for col in GAMMA_COLUMNS],
+                               "rows": [list(row) for row in GAMMA_ROWS]}
+
+
+def test_tables_mu_json(capsys):
+    code, out, _ = run(["tables", "mu", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out) == [list(row) for row in MU_GRID]
+
+
+def test_tables_iso_json(capsys):
+    'one object per catalogue row, its keys in printed order'
+    code, out, _ = run(["tables", "iso", "--format", "json"], capsys)
+    assert code == 0
+    keys = ("code", "iota", "delta", "t", "sigma", "downsets_below", "inner_sum")
+    assert [list(row.items()) for row in json.loads(out)] == [list(zip(keys, row)) for row in CATALOGUE]
 
 
 # -- verify ------------------------------------------------------------------------

@@ -300,6 +300,41 @@ def test_reference_term_count_identity(iso_table):
 # -- closed-form sigma -------------------------------------------------------
 
 
+def test_upper_fringe_matches_e_of_on_every_upper_set(split):
+    """brute force over the 1023 nonempty sets S of upper points, through
+    e_of.  A single upper u has e = 2, and groups[u] splits the outside
+    lowers z with e(S + z) = 1, two of them in one group iff e(S + z + z')
+    = 1.  A larger S with e > 0 maps in qualifying to the OR of the outside
+    lowers z with e(S + z) > 0, and every other S is absent."""
+    q23 = split.q23
+    groups, qualifying = split.upper_fringe
+    lows = q23.minimal_points()
+    ups = list(_bits(q23.carrier & ~lows))
+
+    def e(mask):
+        return e_of(split, q23.to_parent_mask(mask))
+
+    assert sorted(groups) == ups
+    qualified = 0
+    for m in range(1, 1 << len(ups)):
+        s = sum(1 << ups[k] for k in _bits(m))
+        outside = [1 << z for z in _bits(lows & ~q23.down_closure(s))]
+        if _popcount(m) == 1:
+            assert e(s) == 2
+            one = [z for z in outside if e(s | z) == 1]
+            g1, g2 = groups[s.bit_length() - 1]
+            assert g1 & g2 == 0 and g1 | g2 == sum(one)
+            for z in one:
+                for y in one:
+                    assert (bool(g1 & z) == bool(g1 & y)) == (e(s | z | y) == 1)
+        elif e(s):
+            qualified += 1
+            assert qualifying[s] == sum(z for z in outside if e(s | z))
+        else:
+            assert s not in qualifying
+    assert qualified == len(qualifying) == 55
+
+
 def test_precomp_shapes(split, tables, catalogue, iso_table):
     _, records = catalogue
     by_code = {r.type_code: r for r in records}

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from downsets import (
+    CapacityError,
     CycleError,
     DomainError,
     ParseError,
@@ -294,6 +295,35 @@ def test_text_format_parse_errors_name_the_line():
     assert "line 3" in str(info.value)
     with pytest.raises(ParseError):
         poset_from_text("poset v1\ncover 0 1\n")  # points line missing
+
+
+@pytest.mark.parametrize("text, message", [
+    ("poset v1\npoints 2\nlabel 0\n", "line 3: malformed label line"),
+    ("poset v1\npoints 2\nlabel 2 x\n", "line 3: label index 2 out of range"),
+    ("# a comment\n\n", "empty input, expected 'poset v1' header"),
+])
+def test_text_format_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as info:
+        poset_from_text(text)
+    assert str(info.value) == message
+
+
+def test_text_format_checks_the_point_cap_before_building_labels():
+    'a huge points line with a label is a capacity error in small memory; a later parse error still wins'
+    import tracemalloc
+
+    text = "poset v1\npoints 2000000\nlabel 0 a\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as info:
+            poset_from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "point count 2000000 outside 0..128"
+    assert peak < 1 << 20
+    with pytest.raises(ParseError):
+        poset_from_text(text + "bogus\n")
 
 
 def test_text_format_rejects_a_duplicate_label():
