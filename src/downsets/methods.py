@@ -25,10 +25,13 @@ from dataclasses import dataclass
 
 from .boolean import boolean, sub_poset
 from .engine import (
-    _containment_pairs, _zeta, coordinate_automorphisms, count_downsets, decompose, enumerate_downsets,
+    _containment_pairs, _zeta, containment_sums, coordinate_automorphisms, count_downsets, decompose,
+    enumerate_downsets,
 )
 from .errors import DomainError, NotADownSet, ShapeError, StructureError
-from .poset import Poset, chain, product, _bits, _by_bytes, _byte_tables, _or_table, _popcount, _relabel, _subsets
+from .poset import (
+    Poset, antichain, chain, product, _bits, _by_bytes, _byte_tables, _or_table, _popcount, _relabel, _subsets,
+)
 
 
 @dataclass
@@ -57,8 +60,7 @@ class QSplit:
 
     Flipping the first digit is a shift by 32: m23 << 32 == m34, and for x
     in the bottom and y in the top block, x < y iff x | 32 <= y.  q23 is the
-    bottom block as a poset, its parent indices being words.  The closure
-    in e_of is the OR of e_rows over the points of a q23-local mask.
+    bottom block as a poset, its parent indices being words.
     A split compares and hashes by identity, so it can key a cache.
     """
     lattice: Poset
@@ -68,7 +70,6 @@ class QSplit:
     e4: int
     q23: Poset
     q23_lowers: dict  # q23-local index of each bottom-level point -> its bit among the 10
-    e_rows: tuple     # e2 & down(w | 32) per q23 point w
     upper_fringe: tuple  # the class-independent part of build_sigma_precomp, see _upper_fringe
 
 
@@ -78,17 +79,14 @@ def build_qsplit():
     lv = ctx.levels
     m23 = (lv[2] | lv[3]) & low
     q23 = ctx.lattice.induced(m23)
-    e2 = lv[2] & ~low
-    e_rows = tuple(ctx.lattice.down[w | 32] & e2 for w in q23.parent_map)
     return QSplit(
         lattice=ctx.lattice,
         m23=m23,
         m34=(lv[3] | lv[4]) & ~low,
-        e2=e2,
+        e2=lv[2] & ~low,
         e4=lv[4] & low,
         q23=q23,
         q23_lowers={i: b for b, i in enumerate(_bits(q23.minimal_points()))},
-        e_rows=e_rows,
         upper_fringe=_upper_fringe(q23),
     )
 
@@ -115,28 +113,28 @@ def e_of(split, y_mask):
 
 
 def fringe_counts(split, members):
-    """(e, t): e_of and t_of of the parent of each q23-local mask, as ORs
-    of e-rows over the mask and of t-rows e4 & up(w) over its complement."""
-    e_tables = _byte_tables(split.e_rows)
-    t_tables = _byte_tables([split.lattice.up[w] & split.e4 for w in split.q23.parent_map])
+    """(e, t): e_of and t_of of the parent of each q23-local mask, read off
+    the words.  e2 and e4 hold one point per low digit d; e2's is under a
+    flipped word w | 32 iff w holds d, and e4's is over w iff w lacks d.  So
+    e is 5 less the digits of the OR of the mask's words, and t is 5 less
+    the digits of the OR of 31 ^ w over the words of its complement."""
+    words = split.q23.parent_map
+    e_tables = _byte_tables(words)
+    t_tables = _byte_tables([31 ^ w for w in words])
     full = split.q23.carrier
-    e = [_popcount(split.e2 & ~_by_bytes(m, e_tables)) for m in members]
-    t = [_popcount(split.e4 & ~_by_bytes(full & ~m, t_tables)) for m in members]
+    e = [5 - _popcount(_by_bytes(m, e_tables)) for m in members]
+    t = [5 - _popcount(_by_bytes(full & ~m, t_tables)) for m in members]
     return e, t
 
 
 def build_T0_T1(split):
     """1024-entry tables over subsets Y of the bottom-level points:
-    T0[Y] = 2^e(Y), T1[Y] = sum of T0 over subsets of Y (zeta transform)."""
-    rows = [split.e_rows[i] for i in split.q23_lowers]  # e-row of each index bit
-    t0 = [1 << _popcount(split.e2 & ~covered) for covered in _or_table(rows)]
-    t1 = list(t0)
-    for d in range(len(rows)):
-        bit = 1 << d
-        for m in range(len(t1)):
-            if m & bit:
-                t1[m] += t1[m ^ bit]
-    return t0, t1
+    T0[Y] = 2^e(Y), e read off the words as in fringe_counts, and T1[Y] the
+    sum of T0 over subsets of Y, by the zeta transform over the down-sets
+    of a 10-point antichain, which are all 1024 subsets."""
+    words = [split.q23.parent_map[i] for i in split.q23_lowers]  # word of each index bit
+    t0 = [1 << (5 - _popcount(covered)) for covered in _or_table(words)]
+    return t0, containment_sums(antichain(len(words)), range(len(t0)), t0)
 
 
 # -- the 5-atom middle region ------------------------------------------------

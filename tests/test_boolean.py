@@ -7,6 +7,7 @@ from downsets import (
     CapacityError,
     DomainError,
     MissingInput,
+    Poset,
     StructureError,
     boolean,
     count_downsets,
@@ -74,6 +75,11 @@ def test_ladder_reproduces_all_columns():
     assert ladder.value == 7828354
 
 
+def test_ladder_rejects_a_negative_atom_count():
+    with pytest.raises(DomainError):
+        dedekind_via_theorem2(-1, {})
+
+
 def test_ladder_needs_middle_inputs():
     with pytest.raises(MissingInput):
         dedekind_via_theorem2(5, {3: 1, 4: 64})
@@ -127,6 +133,15 @@ def test_residual_shape_check_raises(monkeypatch):
         mod, "sub_poset", lambda ctx, which: ctx.lattice.induced(level_mask(ctx, 1, ctx.n)))
     with pytest.raises(StructureError):
         theorem2_residual_shape(3, 0b10110)
+
+
+@pytest.mark.parametrize("n_mask", [0, 0b10, 0b10110])
+def test_residual_shape_rejects_a_wrong_residual(monkeypatch, n_mask):
+    'k = 0, 1 and 3 atoms: a removal set with point 7 toggled leaves a wrong residual'
+    updown = Poset.updown
+    monkeypatch.setattr(Poset, "updown", lambda self, m, n: updown(self, m, n) ^ 1 << 7)
+    with pytest.raises(StructureError):
+        theorem2_residual_shape(3, n_mask)
 
 
 def test_binomial_convolution_matches_direct_counts():

@@ -178,6 +178,12 @@ def test_phi_inverse_rejects_overlap_with_removed_zone():
         phi_inverse(p, 0b001, 0b001, 0b001)
 
 
+def test_phi_inverse_rejects_a_residual_that_is_not_a_downset():
+    # the residual of chain(3) under trace {0} is points 1 < 2, and {2} lacks 1
+    with pytest.raises(NotADownSet, match="not a down-set of the residual"):
+        phi_inverse(chain(3), 0b001, 0b001, 0b100)
+
+
 def test_phi_inverse_rejects_masks_outside_the_carrier():
     p = chain(3)
     with pytest.raises(DomainError):

@@ -62,6 +62,10 @@ def test_canonical_form_separates_non_isomorphic():
         seen[cert] = p
 
 
+def test_posets_of_different_sizes_are_not_isomorphic():
+    assert not are_isomorphic(chain(2), chain(3))
+
+
 def test_highly_symmetric_posets_are_fast_enough():
     # the automorphism-heavy worst cases the search must handle
     assert canonical_form(antichain(20)) == canonical_form(antichain(20))

@@ -5,6 +5,7 @@ import pytest
 from downsets import (
     DomainError,
     NotADownSet,
+    ShapeError,
     StructureError,
     bmm5_gamma,
     bmm5_iso,
@@ -33,7 +34,7 @@ from downsets import (
     t_of,
 )
 from downsets.methods import (
-    _gamma_pivot, _levels, _mu_sweep, _plane, _tally, fringe_counts, gamma_residual_multiset,
+    _gamma_pivot, _gamma_residual_class, _levels, _mu_sweep, _plane, _tally, fringe_counts, gamma_residual_multiset,
 )
 from downsets.poset import _bits, _popcount
 from conftest import random_poset, random_submask
@@ -144,6 +145,18 @@ def test_subset_sum_tables(split, tables):
                   for y in range(1024)]
 
 
+def test_subset_sum_table_sums_every_subset(tables):
+    'T1[Y] is T0 summed over every Z inside Y, walked one submask at a time (3^10 terms)'
+    t0, t1 = tables
+    for y in range(1024):
+        total = t0[0]
+        z = y
+        while z:
+            total += t0[z]
+            z = (z - 1) & y
+        assert t1[y] == total
+
+
 # -- 5-atom routes -----------------------------------------------------------
 
 
@@ -178,6 +191,13 @@ def test_gamma_residual_class_depends_only_on_size():
         assert all(v == variants[0] for v in variants)
     with pytest.raises(DomainError):
         gamma_residual_multiset(m3)
+
+
+def test_gamma_residual_class_rejects_a_larger_component():
+    'an empty pivot leaves the whole connected region, which is no union of 2-chains and points'
+    mid, _, _ = _gamma_pivot()
+    with pytest.raises(ShapeError):
+        _gamma_residual_class(mid, 0, 0)
 
 
 def test_iso_route_on_five_atoms(catalogue):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -73,6 +74,21 @@ def test_direct_construction_validates_rows():
         Poset((0b11, 0b11))
 
 
+def test_direct_construction_checks_the_carrier_and_the_cap():
+    with pytest.raises(ValueError, match="bits outside the carrier"):
+        Poset([0b11])  # row 0 names a point 1 that does not exist
+    with pytest.raises(CapacityError):
+        Poset([1 << i for i in range(129)])
+
+
+def test_equal_posets_hash_equal():
+    'equality ignores labels and origin, and so does the hash'
+    p = chain(3)
+    q = from_covers(3, [(0, 1), (1, 2)])
+    assert p == q and hash(p) == hash(q)
+    assert hash(p) == hash(Poset(p.up, labels=("a", "b", "c")))
+
+
 def test_closures_and_downset_predicate():
     p = diamond()
     assert p.down_closure(0b1000) == 0b1111
@@ -115,6 +131,11 @@ def test_updown_requires_downset_of_the_induced_poset():
     p = chain(3)
     with pytest.raises(NotADownSet):
         p.updown(0b011, 0b010)  # {1} is not a down-set of the chain on {0,1}
+
+
+def test_updown_requires_the_trace_inside_the_pivot_set():
+    with pytest.raises(NotADownSet):
+        chain(3).updown(0b001, 0b010)  # N = {1} is not inside M = {0}
 
 
 def test_induced_keeps_relation_and_backmap():
@@ -165,6 +186,20 @@ def test_product_and_direct_sum_shapes():
     s = direct_sum(chain(2), chain(2))
     assert s.n == 4
     assert not s.leq(0, 2)
+
+
+def test_product_and_direct_sum_respect_the_point_cap():
+    with pytest.raises(CapacityError):
+        product(chain(12), chain(11))
+    with pytest.raises(CapacityError):
+        direct_sum(chain(64), chain(65))
+
+
+def test_direct_sum_pads_missing_labels():
+    labelled = Poset([0b01, 0b10], labels=("a", "b"))
+    assert direct_sum(labelled, chain(2)).labels == ("a", "b", None, None)
+    assert direct_sum(chain(1), labelled).labels == (None, "a", "b")
+    assert direct_sum(chain(1), chain(1)).labels is None
 
 
 def test_components_split_on_comparability():
@@ -306,6 +341,14 @@ def test_text_format_parse_error_messages(text, message):
     with pytest.raises(ParseError) as info:
         poset_from_text(text)
     assert str(info.value) == message
+
+
+def test_text_format_rejects_a_points_token_int_cannot_read():
+    'more digits than int() accepts is a malformed line, not a ValueError'
+    text = "poset v1\npoints %s\n" % ("1" * (sys.get_int_max_str_digits() + 1))
+    with pytest.raises(ParseError) as info:
+        poset_from_text(text)
+    assert str(info.value) == "line 2: malformed points line"
 
 
 def test_text_format_checks_the_point_cap_before_building_labels():
