@@ -34,7 +34,8 @@ from downsets import (
     t_of,
 )
 from downsets.methods import (
-    _gamma_pivot, _gamma_residual_class, _levels, _mu_sweep, _plane, _tally, fringe_counts, gamma_residual_multiset,
+    _gamma_pivot, _gamma_residual_class, _levels, _mu_sweep, _plane, _tally, fringe_counts,
+    gamma_residual_multiset,
 )
 from downsets.poset import _bits, _popcount
 from conftest import random_poset, random_submask
