@@ -15,8 +15,9 @@ The catalogue does not certify every down-set.  Points of a region of the
 subset lattice carry their binary words as labels, and swapping two
 coordinates of every word is often an order automorphism.  Automorphisms
 preserve the isomorphism type, so each orbit of the group they generate lies
-inside one class, and one canonical form per orbit that shares its point
-count with another orbit decides which orbits merge.
+inside one class.  Isomorphic cores have equal degree profiles, the sorted
+(up-degree, down-degree) pairs of their points, so one canonical form per
+orbit that shares its profile with another orbit decides which orbits merge.
 """
 
 from dataclasses import dataclass
@@ -201,19 +202,23 @@ def representation_system(q23):
     A core is the down-closure of its upper points, so the cores are the
     entries of one _or_table of the upper points' down rows.  They are split
     into orbits under coordinate_automorphisms(q23), or each core is its own
-    orbit without such automorphisms; canonical forms merge the orbits.
+    orbit without such automorphisms.  Orbits are grouped by the degree
+    profile of a member, and canonical forms merge the orbits of a group.
     """
     lows = q23.minimal_points()
     cores = set(_or_table([q23.down[u] for u in _bits(q23.carrier & ~lows)]))
-    by_size = {}
+    by_profile = {}
     for orbit in orbits(cores, coordinate_automorphisms(q23)):
-        by_size.setdefault(_popcount(orbit[0]), []).append(orbit)
+        core = orbit[0]
+        profile = tuple(sorted((_popcount(q23.up[x] & core), _popcount(q23.down[x] & core))
+                               for x in _bits(core)))
+        by_profile.setdefault(profile, []).append(orbit)
     by_cert = {}
-    for size, group in by_size.items():
+    for profile, group in by_profile.items():
         for orbit in group:
-            # a certificate starts with the point count, so an orbit alone at
-            # its size merges with no other and is keyed by the size instead
-            cert = canonical_form(q23.induced(orbit[0])) if len(group) > 1 else size
+            # isomorphic cores have equal profiles, so an orbit alone at its
+            # profile merges with no other and is keyed by the profile instead
+            cert = canonical_form(q23.induced(orbit[0])) if len(group) > 1 else profile
             by_cert.setdefault(cert, []).extend(orbit)
     records = []
     for members in by_cert.values():

@@ -21,6 +21,7 @@ from downsets import (
     sub_poset,
     type_code,
 )
+from downsets import isoclasses
 from downsets.isoclasses import _has_crown, coordinate_automorphisms
 from downsets.poset import _popcount
 from conftest import random_poset
@@ -248,3 +249,41 @@ def test_swaps_that_break_the_order_are_dropped(split):
     labels = list(split.q23.labels)
     random.Random(5).shuffle(labels)
     assert coordinate_automorphisms(Poset(split.q23.up, labels=labels)) == []
+
+
+# -- the degree-profile gate ----------------------------------------------------
+
+
+def degree_profile(p, mask):
+    'sorted (up-degree, down-degree) pairs of the points of the induced poset'
+    core = p.induced(mask)
+    return tuple(sorted((_popcount(core.up[i]), _popcount(core.down[i])) for i in range(core.n)))
+
+
+@pytest.mark.parametrize("which, calls", [("q23", 4), ("middle5", 4), ("unlabelled", 1022)])
+def test_only_orbits_that_share_a_degree_profile_are_certified(split, monkeypatch, which, calls):
+    'q23 and middle(5) certify the 4-440 and 6-442 pairs; an unlabelled copy every core but two'
+    q23 = {"q23": split.q23, "middle5": middle5(), "unlabelled": Poset(split.q23.up)}[which]
+    seen = []
+
+    def counted(p):
+        seen.append(p)
+        return canonical_form(p)
+
+    monkeypatch.setattr(isoclasses, "canonical_form", counted)
+    _, records = representation_system(q23)
+    assert len(records) == 34
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("which", ["q23", "middle5"])
+def test_only_the_suffixed_pairs_share_a_degree_profile(split, which):
+    q23 = split.q23 if which == "q23" else middle5()
+    _, records = representation_system(q23)
+    by_profile = {}
+    for rec in records:
+        profiles = {degree_profile(q23, m) for m in rec.members}
+        assert len(profiles) == 1
+        by_profile.setdefault(profiles.pop(), []).append(rec.type_code)
+    shared = sorted(codes for codes in by_profile.values() if len(codes) > 1)
+    assert shared == [["4-440-0", "4-440-1"], ["6-442-0", "6-442-1"]]
