@@ -21,7 +21,7 @@ Five independent routes to the same two constants (6212 down-sets of the
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .boolean import boolean, sub_poset
 from .engine import (
@@ -62,6 +62,7 @@ class QSplit:
     in the bottom and y in the top block, x < y iff x | 32 <= y.  q23 is the
     bottom block as a poset, its parent indices being words.
     A split compares and hashes by identity, so it can key a cache.
+    q23_memo is the count_downsets memo that every core's count shares.
     """
     lattice: Poset
     m23: int
@@ -71,6 +72,7 @@ class QSplit:
     q23: Poset
     q23_lowers: dict  # q23-local index of each bottom-level point -> its bit among the 10
     upper_fringe: tuple  # the class-independent part of build_sigma_precomp, see _upper_fringe
+    q23_memo: dict = field(default_factory=dict, repr=False)
 
 
 def build_qsplit():
@@ -450,7 +452,7 @@ def build_sigma_precomp(split, rep, t1):
         uppers=ups,
         covered=covered,
         free=lowers_all & ~covered,
-        down_count=count_downsets(q23, rep),
+        down_count=count_downsets(q23, rep, split.q23_memo),
         g1={u: groups[u][0] for u in ups},
         g2={u: groups[u][1] for u in ups},
         pair_g=tuple(g for g in inside if g),

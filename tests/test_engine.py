@@ -30,7 +30,8 @@ from downsets import (
     sub_poset,
 )
 from downsets.boolean import _symmetric_orbits
-from downsets.engine import containment_sums, coordinate_automorphisms, orbits
+from downsets import cli, engine, poset_to_text
+from downsets.engine import _pivot, containment_sums, coordinate_automorphisms, orbits
 from downsets.poset import _by_bytes, _byte_tables, _or_table, _relabel
 from conftest import random_poset, random_submask
 
@@ -141,6 +142,74 @@ def test_memo_keys_are_connected_sets():
         memo = {}
         assert count_downsets(p, None, memo) == len(enumerate_downsets(p))
         _assert_memo_keys_are_connected(p, memo)
+
+
+def _reference_count(p, mask, memo):
+    'the plain loop: split with Poset.components, pivot with _pivot, memoize connected sets'
+    total = 1
+    for comp in p.components(mask):
+        if comp & (comp - 1) == 0:
+            total *= 2
+            continue
+        if comp not in memo:
+            x = _pivot(p, comp)
+            memo[comp] = (_reference_count(p, comp & ~p.up[x], memo)
+                          + _reference_count(p, comp & ~p.down[x], memo))
+        total *= memo[comp]
+    return total
+
+
+def test_memo_matches_a_reference_loop():
+    'the same pivots: equal memo dicts, stored in the same order, over whole posets and shared sub-masks'
+    middle = sub_poset(boolean(6), "middle")
+    memo, reference = {}, {}
+    assert count_downsets(middle, None, memo) == _reference_count(middle, middle.carrier, reference)
+    assert list(memo.items()) == list(reference.items())
+    rng = random.Random(4711)
+    for _ in range(30):
+        p = random_poset(rng, 24, density=rng.choice([0.05, 0.1, 0.2, 0.4]))
+        memo, reference = {}, {}
+        for mask in (p.carrier, random_submask(rng, p.carrier), random_submask(rng, p.carrier)):
+            assert count_downsets(p, mask, memo) == _reference_count(p, mask, reference)
+        assert list(memo.items()) == list(reference.items())
+
+
+def _height_two(rng, lowers, uppers, k):
+    'lowers minimal points, then uppers maximal points, each over k random lowers'
+    covers = [(low, lowers + u) for u in range(uppers) for low in rng.sample(range(lowers), k)]
+    return from_covers(lowers + uppers, covers)
+
+
+def test_memo_budget_bounds_the_count(monkeypatch):
+    middle = sub_poset(boolean(5), "middle")
+    monkeypatch.setattr(engine, "MEMO_BUDGET", 121)
+    memo = {}
+    assert count_downsets(middle, None, memo) == 6212
+    assert len(memo) == 121
+    monkeypatch.setattr(engine, "MEMO_BUDGET", 120)
+    memo = {}
+    with pytest.raises(CapacityError, match="memo budget of 120 entries"):
+        count_downsets(middle, None, memo)
+    assert len(memo) == 120
+    p = _height_two(random.Random(2024), 16, 16, 3)
+    monkeypatch.setattr(engine, "MEMO_BUDGET", 40)
+    memo = {}
+    with pytest.raises(CapacityError, match="memo budget of 40 entries"):
+        count_downsets(p, None, memo)
+    assert len(memo) == 40
+
+
+def test_count_past_the_memo_budget_exits_3(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "height2.poset"
+    path.write_text(poset_to_text(_height_two(random.Random(2024), 16, 16, 3)))
+    assert cli.main(["count", str(path)]) == 0
+    assert capsys.readouterr().out == "2536392\n"
+    monkeypatch.setattr(engine, "MEMO_BUDGET", 50)
+    for extra in ([], ["--pivot", "0,1,2,3"]):
+        assert cli.main(["count", str(path), *extra]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "capacity error: count needs more than the memo budget of 50 entries\n"
 
 
 def test_count_rejects_masks_outside_the_carrier():

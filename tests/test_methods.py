@@ -375,6 +375,17 @@ def test_precomp_shapes(split, tables, catalogue, iso_table):
         assert pre.down_count == row["downsets_below"]
 
 
+def test_core_counts_share_the_split_memo(tables, catalogue):
+    'the 34 cores count through one memo on the split, which ends as one shared count_downsets memo would'
+    fresh = build_qsplit()
+    memo = {}
+    for rec in catalogue[1]:
+        pre = build_sigma_precomp(fresh, rec.representative, tables[1])
+        assert pre.down_count == count_downsets(fresh.q23, rec.representative, memo)
+    assert fresh.q23_memo == memo
+    assert len(memo) == 352
+
+
 def test_precomp_rejects_non_downsets(split, tables):
     lone_upper = split.q23.maximal_points() & -split.q23.maximal_points()
     assert not split.q23.is_downset(lone_upper)

@@ -138,6 +138,22 @@ def test_updown_requires_the_trace_inside_the_pivot_set():
         chain(3).updown(0b001, 0b010)  # N = {1} is not inside M = {0}
 
 
+def test_updown_matches_the_closures():
+    'one pass gives up(M - N) | down(N), and rejects N exactly when a down row leaves N inside M'
+    rng = random.Random(1983)
+    for _ in range(60):
+        p = random_poset(rng, 20, density=rng.choice([0.1, 0.2, 0.4]))
+        m = random_submask(rng, p.carrier)
+        n = p.down_closure(random_submask(rng, m)) & m
+        assert p.updown(m, n) == p.up_closure(m & ~n) | p.down_closure(n)
+        bent = n ^ random_submask(rng, m)
+        if any(p.down[i] & m & ~bent for i in range(p.n) if bent >> i & 1):
+            with pytest.raises(NotADownSet, match="not a down-set of the sub-poset on M"):
+                p.updown(m, bent)
+        else:
+            assert p.updown(m, bent) == p.up_closure(m & ~bent) | p.down_closure(bent)
+
+
 def test_induced_keeps_relation_and_backmap():
     p = diamond()
     sub = p.induced(0b1011)
