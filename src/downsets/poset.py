@@ -189,19 +189,14 @@ class Poset:
         self._check(m_mask)
         if n_mask & ~m_mask:
             raise NotADownSet("N is not contained in M")
-        up, down = self.up, self.down
         out = 0
-        rest = m_mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            i = low.bit_length() - 1
-            if low & n_mask:
-                if down[i] & m_mask & ~n_mask:
+        for i in _bits(m_mask):
+            if n_mask >> i & 1:
+                if self.down[i] & m_mask & ~n_mask:
                     raise NotADownSet("N is not a down-set of the sub-poset on M")
-                out |= down[i]
+                out |= self.down[i]
             else:
-                out |= up[i]
+                out |= self.up[i]
         return out
 
     def minimal_points(self, mask=None):
