@@ -162,16 +162,20 @@ def count_downsets(p, mask=None, memo=None):
     def count(rest):
         total = 1
         while rest:
-            # flood from the lowest point left; each point is expanded once
-            comp = todo = rest & -rest
-            rest ^= comp
+            # flood from the lowest point left, as Poset.components does
+            todo = rest & -rest
+            comp = rest  # less what the flood leaves
+            rest ^= todo
             while todo:
-                low = todo & -todo
-                todo ^= low
-                grown = comparable[low.bit_length() - 1] & rest
-                rest ^= grown
-                todo |= grown
-                comp |= grown
+                i = todo.bit_length() - 1
+                todo ^= 1 << i
+                grown = comparable[i] & rest
+                if grown:
+                    rest ^= grown
+                    if not rest:
+                        break
+                    todo |= grown
+            comp ^= rest
             # every count is positive, so a stored one never falls through to split
             total *= 2 if comp & (comp - 1) == 0 else memo.get(comp) or split(comp)
         return total
@@ -409,18 +413,22 @@ def orbits(masks, perms):
     if members and perms and (min(members) < 0 or max(members) >> min(map(len, perms))):
         raise DomainError("a member has a point outside the permutations")
     tables = [_byte_tables([1 << point for point in perm]) for perm in perms]
-    seen = set()
+    # each orbit takes its members out of the set, so one set is kept, not
+    # two.  An image neither left in it nor in the orbit being built is
+    # outside it: an orbit already listed holds the images and, as each
+    # permutation has finite order, the preimages of its members
     for start in sorted(members):
-        if start in seen:
+        if start not in members:
             continue
-        seen.add(start)
-        orbit = [start]
+        members.remove(start)
+        orbit, inside = [start], {start}
         for mask in orbit:
             for perm_tables in tables:
                 image = _by_bytes(mask, perm_tables)
-                if image not in seen:
+                if image not in inside:
                     if image not in members:
                         raise StructureError("a permutation maps 0x%x outside the set" % mask)
-                    seen.add(image)
+                    members.remove(image)
+                    inside.add(image)
                     orbit.append(image)
         yield orbit

@@ -189,14 +189,19 @@ class Poset:
         self._check(m_mask)
         if n_mask & ~m_mask:
             raise NotADownSet("N is not contained in M")
+        up, down = self.up, self.down
+        outside = m_mask ^ n_mask
         out = 0
-        for i in _bits(m_mask):
+        rest = m_mask
+        while rest:
+            i = rest.bit_length() - 1
+            rest ^= 1 << i
             if n_mask >> i & 1:
-                if self.down[i] & m_mask & ~n_mask:
+                if down[i] & outside:
                     raise NotADownSet("N is not a down-set of the sub-poset on M")
-                out |= self.down[i]
+                out |= down[i]
             else:
-                out |= self.up[i]
+                out |= up[i]
         return out
 
     def minimal_points(self, mask=None):
@@ -257,17 +262,21 @@ class Poset:
         rest = mask
         out = []
         while rest:
-            # flood from the lowest point left; each point is expanded once
-            comp = todo = rest & -rest
-            rest ^= comp
+            # flood from the lowest point left; each point is expanded at
+            # most once, the highest waiting one first, until none is left
+            todo = rest & -rest
+            comp = rest  # less what the flood leaves
+            rest ^= todo
             while todo:
-                low = todo & -todo
-                todo ^= low
-                grown = comparable[low.bit_length() - 1] & rest
-                rest ^= grown
-                todo |= grown
-                comp |= grown
-            out.append(comp)
+                i = todo.bit_length() - 1
+                todo ^= 1 << i
+                grown = comparable[i] & rest
+                if grown:
+                    rest ^= grown
+                    if not rest:
+                        break
+                    todo |= grown
+            out.append(comp ^ rest)
         return out
 
 

@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -390,6 +391,21 @@ def test_orbits_reject_a_set_the_permutations_leave():
     assert list(orbits([0b0001, 0b0011, 0b0101], [swap])) == [[0b0001], [0b0011, 0b0101]]
     with pytest.raises(StructureError):
         list(orbits([0b0001, 0b0011], [swap]))
+
+
+def test_orbits_keep_one_set_of_the_members():
+    'B5 has 7581 down-sets; a second set of them as large as the first would pass 1.4 MB'
+    lattice = boolean(5).lattice
+    fam = enumerate_downsets(lattice)
+    perms = coordinate_automorphisms(lattice)
+    tracemalloc.start()
+    try:
+        found = list(orbits(fam, perms))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 210
+    assert peak < 1.2 * 2 ** 20
 
 
 @pytest.mark.parametrize("n", [0, 5, 8, 16, 20, 50, 128])
