@@ -75,13 +75,11 @@ _LAZY = {
         "bmm6_mu",
         "build_qsplit",
         "build_sigma_precomp",
-        "build_T0_T1",
         "class_parameters",
         "classify_inner_type",
         "e_of",
         "lemma1_check",
         "middle_counts",
-        "s_of",
         "sigma_fast",
         "sigma_reference",
         "t_of",

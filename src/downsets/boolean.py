@@ -18,7 +18,7 @@ import time
 
 from .engine import containment_counts, coordinate_automorphisms, enumerate_downsets, orbits
 from .errors import CapacityError, DomainError, MissingInput, StructureError
-from .poset import MAX_POINTS, Poset, _bits, _by_bytes, _byte_tables, _popcount, _relabel
+from .poset import MAX_POINTS, Poset, _bits, _by_bytes, _byte_tables, _popcount, _subsets
 
 REGIONS = ("full", "upper", "lower", "middle")
 
@@ -193,10 +193,11 @@ def theorem2_residual_shape(n, n_mask):
     For N a subset of the atom level of the n-atom lattice, removing
     up(atoms - N) | down(N) leaves: the bottom point alone when N is empty,
     nothing when |N| = 1, and a copy of the upper region of the |N|-atom
-    lattice otherwise.  The k >= 2 case is verified by compressing the
-    surviving words onto the chosen atoms and comparing words and induced
-    order with a freshly built upper region; the tags are returned only
-    after that check passes.
+    lattice otherwise.  The point index is the word, so the residual is
+    checked as one mask: the bottom point when N is empty, else the words of
+    two or more of N's digits.  Compressing those words onto N's digits
+    keeps containment and gives the upper region's words, so the mask fixes
+    the shape; the tags are returned only after that check passes.
     """
     ctx = boolean(n)
     atoms = ctx.levels[1] if n >= 1 else 0
@@ -204,27 +205,10 @@ def theorem2_residual_shape(n, n_mask):
         raise DomainError("N must be a subset of the atom level")
     k = _popcount(n_mask)
     lattice = ctx.lattice
-    # the residual as a point set of the lattice, whose point index is the word
-    rest = lattice.carrier & ~lattice.updown(atoms, n_mask)
+    support = sum(_bits(n_mask))  # an atom's point index is its word, so N's digits as one word
+    want = 1 if k == 0 else sum(1 << w for w in _subsets(support) if _popcount(w) >= 2)
+    if lattice.carrier & ~lattice.updown(atoms, n_mask) != want:
+        raise StructureError("residual of a %d-atom trace is not the expected region" % k)
     if k == 0:
-        if rest != 1:
-            raise StructureError("residual of the empty trace is not the bottom point")
         return "singleton-bottom"
-    if k == 1:
-        if rest:
-            raise StructureError("residual of a one-atom trace is not empty")
-        return "empty"
-    # each surviving word is supported on the chosen atoms and has at least 2
-    # ones; compressing it onto their digits, ascending, gives a word of B(k)
-    # and keeps word order, so induced() relabels like the compression
-    support = sum(_bits(n_mask))
-    digit_pos = {a.bit_length() - 1: pos for pos, a in enumerate(_bits(n_mask))}
-    reference = sub_poset(boolean(k), "upper")
-    words = list(_bits(rest))
-    if any(word & ~support for word in words):
-        raise StructureError("survivor outside chosen atoms")
-    if [_relabel(word, digit_pos) for word in words] != list(reference.parent_map):
-        raise StructureError("residual points do not match the expected upper region")
-    if lattice.induced(rest) != reference:
-        raise StructureError("residual is not the expected upper region")
-    return "upper(%d)" % k
+    return "empty" if k == 1 else "upper(%d)" % k

@@ -62,7 +62,11 @@ class QSplit:
     in the bottom and y in the top block, x < y iff x | 32 <= y.  q23 is the
     bottom block as a poset, its parent indices being words.
     A split compares and hashes by identity, so it can key a cache.
-    q23_memo is the count_downsets memo that every core's count shares.
+    It holds the closed-form sigma's class-independent data: upper_fringe
+    and t1, the subset-sum table over the subsets Y of the 10 bottom-level
+    points, bit b of Y standing for the point whose q23_lowers bit is b:
+    t1[Y] sums 2^e(Z) over every Z inside Y.  q23_memo is the
+    count_downsets memo that every core's count shares.
     """
     lattice: Poset
     m23: int
@@ -71,7 +75,8 @@ class QSplit:
     e4: int
     q23: Poset
     q23_lowers: dict  # q23-local index of each bottom-level point -> its bit among the 10
-    upper_fringe: tuple  # the class-independent part of build_sigma_precomp, see _upper_fringe
+    upper_fringe: tuple  # per-upper groups and qualifying upper sets, see _upper_fringe
+    t1: list
     q23_memo: dict = field(default_factory=dict, repr=False)
 
 
@@ -81,6 +86,10 @@ def build_qsplit():
     lv = ctx.levels
     m23 = (lv[2] | lv[3]) & low
     q23 = ctx.lattice.induced(m23)
+    lowers = list(_bits(q23.minimal_points()))
+    # 2^e of each subset of the lowers, e read off their words as in fringe_counts; the
+    # zeta transform over the down-sets of a 10-point antichain, all 1024 subsets, sums it
+    t0 = [1 << (5 - _popcount(covered)) for covered in _or_table([q23.parent_map[i] for i in lowers])]
     return QSplit(
         lattice=ctx.lattice,
         m23=m23,
@@ -88,16 +97,10 @@ def build_qsplit():
         e2=lv[2] & ~low,
         e4=lv[4] & low,
         q23=q23,
-        q23_lowers={i: b for b, i in enumerate(_bits(q23.minimal_points()))},
+        q23_lowers={i: b for b, i in enumerate(lowers)},
         upper_fringe=_upper_fringe(q23),
+        t1=containment_sums(antichain(len(lowers)), range(len(t0)), t0),
     )
-
-
-def s_of(split, n_mask):
-    'fringe points of e2 not under the top-block part of N'
-    if n_mask & ~(split.m23 | split.m34):
-        raise DomainError("N must live on the two blocks")
-    return _popcount(split.e2 & ~split.lattice.down_closure(n_mask & split.m34))
 
 
 def t_of(split, n_mask):
@@ -127,16 +130,6 @@ def fringe_counts(split, members):
     e = [5 - _popcount(_by_bytes(m, e_tables)) for m in members]
     t = [5 - _popcount(_by_bytes(full & ~m, t_tables)) for m in members]
     return e, t
-
-
-def build_T0_T1(split):
-    """1024-entry tables over subsets Y of the bottom-level points:
-    T0[Y] = 2^e(Y), e read off the words as in fringe_counts, and T1[Y] the
-    sum of T0 over subsets of Y, by the zeta transform over the down-sets
-    of a 10-point antichain, which are all 1024 subsets."""
-    words = [split.q23.parent_map[i] for i in split.q23_lowers]  # word of each index bit
-    t0 = [1 << (5 - _popcount(covered)) for covered in _or_table(words)]
-    return t0, containment_sums(antichain(len(words)), range(len(t0)), t0)
 
 
 # -- the 5-atom middle region ------------------------------------------------
@@ -382,25 +375,20 @@ def classify_inner_type(split, d_local):
 class SigmaPrecomp:
     """Per-class structural data for the closed-form sigma.
 
-    For each upper point u of the core, g1[u] and g2[u] are the two disjoint
-    3-point groups of outside lower points that each leave one of u's two
-    free fringe digits alive.  pair_g lists, per qualifying upper pair, the
-    single outside lower point compatible with the pair's free digit.  n34
-    counts qualifying upper triples and quadruples, each contributing one.
-    The groups and qualifying sets are the split's upper_fringe, read off
-    the binary words by _upper_fringe; build_sigma_precomp checks only that
-    the representative is an isolated-free down-set.
+    pair_g lists, per qualifying upper pair of the core, the single outside
+    lower point compatible with the pair's free digit.  n34 counts
+    qualifying upper triples and quadruples, each contributing one.  The
+    qualifying sets, and the per-upper groups that sigma_fast reads, are the
+    split's upper_fringe, read off the binary words by _upper_fringe;
+    build_sigma_precomp checks only that the core is an isolated-free
+    down-set.
     """
-    rep: int
     uppers: tuple
     covered: int      # lower points of the core
     free: int         # the other lower points
     down_count: int
-    g1: dict
-    g2: dict
     pair_g: tuple
     n34: int
-    t1: list
 
 
 def _upper_fringe(q23):
@@ -408,13 +396,14 @@ def _upper_fringe(q23):
     read off the words: a q23 point is a word of 2 or 3 of the 5 low digits,
     and e of a set is the number of digits that none of its words holds.
 
-    An upper u leaves two digits d free; groups[u] is (g1[u], g2[u]) of
-    every SigmaPrecomp, per free d the three lowers {i, d} with i in u.  A
-    set of two to four uppers has positive e exactly when its words lie
-    inside one 4-digit word f, so qualifying maps each subset of f's four
-    3-subsets with two or more of them (a q23 mask) to its compatible lower:
-    for a pair u, v the lower u ^ v, the only one of f's six lowers outside
-    the pair's closure, and 0 for a triple or quadruple, which covers all six.
+    An upper u leaves two digits d free; groups[u] is its two disjoint
+    3-point groups of outside lowers that each leave one of those digits
+    alive, per free d the three lowers {i, d} with i in u.  A set of two to
+    four uppers has positive e exactly when its words lie inside one
+    4-digit word f, so qualifying maps each subset of f's four 3-subsets
+    with two or more of them (a q23 mask) to its compatible lower: for a
+    pair u, v the lower u ^ v, the only one of f's six lowers outside the
+    pair's closure, and 0 for a triple or quadruple, which covers all six.
     """
     local = {w: i for i, w in enumerate(q23.parent_map)}
     groups = {}
@@ -434,8 +423,8 @@ def _upper_fringe(q23):
     return groups, qualifying
 
 
-def build_sigma_precomp(split, rep, t1):
-    'the SigmaPrecomp of a core; t1 is the subset-sum table of build_T0_T1'
+def build_sigma_precomp(split, rep):
+    'the SigmaPrecomp of a core, an isolated-free down-set of split.q23'
     q23 = split.q23
     if not q23.is_downset(rep):
         raise NotADownSet("representative is not a down-set of the bottom block")
@@ -444,63 +433,57 @@ def build_sigma_precomp(split, rep, t1):
     if q23.down_closure(uppers) != rep:
         raise StructureError("representative has isolated lower points")
     covered = rep & lowers_all
-    groups, qualifying = split.upper_fringe
-    ups = tuple(_bits(uppers))
-    inside = [g for vs, g in qualifying.items() if not vs & ~uppers]
+    inside = [g for vs, g in split.upper_fringe[1].items() if not vs & ~uppers]
     return SigmaPrecomp(
-        rep=rep,
-        uppers=ups,
+        uppers=tuple(_bits(uppers)),
         covered=covered,
         free=lowers_all & ~covered,
         down_count=count_downsets(q23, rep, split.q23_memo),
-        g1={u: groups[u][0] for u in ups},
-        g2={u: groups[u][1] for u in ups},
         pair_g=tuple(g for g in inside if g),
         n34=inside.count(0),
-        t1=t1,
     )
 
 
-def sigma_fast(split, rep, a_mask, precomp):
-    """sigma(A + R) by closed formula: the subset-sum table covers the
-    upper-free inner terms, the containment count covers every term's +1,
-    and the per-upper groups, qualifying pairs, triples and quadruples
-    supply the only inner terms with positive e and upper points."""
-    if rep != precomp.rep:
-        raise DomainError("precomputation belongs to another representative")
+def sigma_fast(split, a_mask, precomp):
+    """sigma(A + R) by closed formula, R the core of precomp: the split's
+    subset-sum table covers the upper-free inner terms, the containment
+    count covers every term's +1, and the per-upper groups, qualifying
+    pairs, triples and quadruples supply the only inner terms with positive
+    e and upper points."""
     if a_mask & ~precomp.free:
         raise DomainError("A must consist of free lower points")
     ap = precomp.covered | a_mask
-    total = precomp.t1[_relabel(ap, split.q23_lowers)]
+    total = split.t1[_relabel(ap, split.q23_lowers)]
     total += (1 << _popcount(a_mask)) * precomp.down_count - (1 << _popcount(ap))
+    groups = split.upper_fringe[0]
     for u in precomp.uppers:
-        total += 1 + (1 << _popcount(precomp.g1[u] & ap)) + (1 << _popcount(precomp.g2[u] & ap))
+        g1, g2 = groups[u]
+        total += 1 + (1 << _popcount(g1 & ap)) + (1 << _popcount(g2 & ap))
     for gbit in precomp.pair_g:
         total += 2 if gbit & ap else 1
     total += precomp.n34
     return total
 
 
-def class_parameters(split, core, t1):
+def class_parameters(split, core):
     """The t, sigma, down-sets-below and inner-sum cells of the table row of
     an isolated-free down-set of the bottom block, under their printed keys
-    and in printed order; t1 is the subset-sum table of build_T0_T1."""
-    pre = build_sigma_precomp(split, core, t1)
+    and in printed order."""
+    pre = build_sigma_precomp(split, core)
     return {
         "t": t_of(split, split.q23.to_parent_mask(core)),
-        "sigma": sigma_fast(split, core, 0, pre),
+        "sigma": sigma_fast(split, 0, pre),
         "downsets_below": pre.down_count,
-        "inner_sum": sum(sigma_fast(split, core, a_mask, pre) for a_mask in _subsets(pre.free)),
+        "inner_sum": sum(sigma_fast(split, a_mask, pre) for a_mask in _subsets(pre.free)),
     }
 
 
 def table7(split, records):
     """The iso table: one row per catalogue record, in catalogue order, with
     its code, iota and delta followed by the class_parameters cells."""
-    t1 = build_T0_T1(split)[1]
     return [
         {"code": rec.type_code, "iota": rec.iota, "delta": rec.delta,
-         **class_parameters(split, rec.representative, t1)}
+         **class_parameters(split, rec.representative)}
         for rec in records
     ]
 

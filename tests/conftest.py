@@ -2,7 +2,6 @@ import pytest
 
 from downsets import (
     build_qsplit,
-    build_T0_T1,
     enumerate_downsets,
     representation_system,
     table7,
@@ -13,11 +12,6 @@ from downsets.cli import _random_poset as random_poset
 @pytest.fixture(scope="session")
 def split():
     return build_qsplit()
-
-
-@pytest.fixture(scope="session")
-def tables(split):
-    return build_T0_T1(split)
 
 
 @pytest.fixture(scope="session")

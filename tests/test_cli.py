@@ -197,6 +197,25 @@ def test_count_non_utf8_file_is_a_parse_error(tmp_path, capsys):
     assert err.startswith("parse error:") and "UTF-8" in err
 
 
+@pytest.mark.parametrize("size", [(1 << 20) - 1, 1 << 20, (1 << 20) + 1])
+def test_count_reads_at_most_one_mebibyte(tmp_path, capsys, size):
+    'a comment pads the diamond to size bytes; past 2^20 the file is refused unparsed'
+    path = tmp_path / "padded.poset"
+    path.write_text(DIAMOND_TEXT + "#" * (size - len(DIAMOND_TEXT) - 1) + "\n")
+    assert path.stat().st_size == size
+    if size <= cli.MAX_FILE_BYTES:
+        assert run(["count", str(path)], capsys) == (0, "6\n", "")
+    else:
+        assert run(["count", str(path)], capsys) == (
+            2, "", "parse error: %s is larger than 1048576 bytes\n" % path)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero on this platform")
+def test_count_of_an_endless_file_is_a_parse_error(capsys):
+    assert run(["count", "/dev/zero"], capsys) == (
+        2, "", "parse error: /dev/zero is larger than 1048576 bytes\n")
+
+
 FUZZ_TOKENS = ("", "0", "1", "11", "12", "-1", "129", "99999999999", "x", "\u00b2",
                "points", "cover", "label", "poset", "v1", "#")
 

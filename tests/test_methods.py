@@ -27,12 +27,12 @@ from downsets import (
     lemma1_check,
     middle_counts,
     product,
-    s_of,
     sigma_fast,
     sigma_reference,
     sub_poset,
     t_of,
 )
+from downsets import methods
 from downsets.methods import (
     _gamma_pivot, _gamma_residual_class, _levels, _mu_sweep, _plane, _tally, fringe_counts,
     gamma_residual_multiset,
@@ -91,16 +91,12 @@ def test_flip_map_carries_the_order(split):
 
 
 def test_fringe_counters_at_the_extremes(split):
-    assert s_of(split, 0) == 5
-    assert s_of(split, split.m34) == 0
     assert t_of(split, 0) == 0
     assert t_of(split, split.m23) == 5
     assert e_of(split, 0) == 5
     assert e_of(split, split.m23) == 0
     with pytest.raises(DomainError):
         e_of(split, split.m34)
-    with pytest.raises(DomainError):
-        s_of(split, split.e2)
     with pytest.raises(DomainError):
         t_of(split, split.m34)
 
@@ -120,7 +116,6 @@ def test_fringe_counters_match_word_formulas(split, q23_members):
             inter &= w
         assert e_of(split, y) == 5 - _popcount(union)
         assert t_of(split, y) == _popcount(inter)
-        assert s_of(split, y << 32) == e_of(split, y)
     # the bulk values, from byte tables of e- and t-rows, agree with the closures
     parents = [q23.to_parent_mask(local) for local in q23_members]
     assert fringe_counts(split, q23_members) == ([e_of(split, y) for y in parents],
@@ -135,20 +130,25 @@ def test_fringe_counter_monotone(split):
         assert e_of(split, bigger) <= e_of(split, y)
 
 
-def test_subset_sum_tables(split, tables):
-    t0, t1 = tables
+@pytest.fixture(scope="module")
+def t0(split):
+    'T0[Y] = 2^e(Y) by e_of, over the subsets Y of the bottom-level points, bit b for q23_lowers bit b'
+    words = [split.q23.parent_map[i] for i in split.q23_lowers]
+    return [1 << e_of(split, sum(1 << w for b, w in enumerate(words) if y >> b & 1))
+            for y in range(1024)]
+
+
+def test_subset_sum_tables(split, t0):
+    t1 = split.t1
     assert len(t0) == len(t1) == 1024
     assert t0[0] == t1[0] == 32
     assert t1[1023] == sum(t0) == 1450
     assert all(b >= a for a, b in zip(t0, t1))
-    words = [split.q23.parent_map[i] for i in split.q23_lowers]
-    assert t0 == [1 << e_of(split, sum(1 << w for b, w in enumerate(words) if y >> b & 1))
-                  for y in range(1024)]
 
 
-def test_subset_sum_table_sums_every_subset(tables):
+def test_subset_sum_table_sums_every_subset(split, t0):
     'T1[Y] is T0 summed over every Z inside Y, walked one submask at a time (3^10 terms)'
-    t0, t1 = tables
+    t1 = split.t1
     for y in range(1024):
         total = t0[0]
         z = y
@@ -356,86 +356,98 @@ def test_upper_fringe_matches_e_of_on_every_upper_set(split):
     assert qualified == len(qualifying) == 55
 
 
-def test_precomp_shapes(split, tables, catalogue, iso_table):
+def test_precomp_shapes(split, catalogue, iso_table):
     _, records = catalogue
     by_code = {r.type_code: r for r in records}
-    empty = build_sigma_precomp(split, by_code["0-000"].representative, tables[1])
+    empty = build_sigma_precomp(split, by_code["0-000"].representative)
     assert empty.uppers == () and empty.down_count == 1
-    assert empty.g1 == {} and empty.pair_g == () and empty.n34 == 0
-    one = build_sigma_precomp(split, by_code["1-300"].representative, tables[1])
+    assert empty.pair_g == () and empty.n34 == 0
+    one = build_sigma_precomp(split, by_code["1-300"].representative)
     assert len(one.uppers) == 1
     (u,) = one.uppers
-    assert bin(one.g1[u]).count("1") == bin(one.g2[u]).count("1") == 3
-    assert one.g1[u] & one.g2[u] == 0
-    assert (one.g1[u] | one.g2[u]) & ~one.free == 0
+    g1, g2 = split.upper_fringe[0][u]
+    assert bin(g1).count("1") == bin(g2).count("1") == 3
+    assert g1 & g2 == 0
+    assert (g1 | g2) & ~one.free == 0
     assert one.down_count == 9
     for rec, row in zip(records, iso_table):
-        pre = build_sigma_precomp(split, rec.representative, tables[1])
+        pre = build_sigma_precomp(split, rec.representative)
         assert len(pre.uppers) == int(rec.type_code.split("-")[0])
         assert pre.down_count == row["downsets_below"]
 
 
-def test_core_counts_share_the_split_memo(tables, catalogue):
+def test_core_counts_share_the_split_memo(catalogue):
     'the 34 cores count through one memo on the split, which ends as one shared count_downsets memo would'
     fresh = build_qsplit()
     memo = {}
     for rec in catalogue[1]:
-        pre = build_sigma_precomp(fresh, rec.representative, tables[1])
+        pre = build_sigma_precomp(fresh, rec.representative)
         assert pre.down_count == count_downsets(fresh.q23, rec.representative, memo)
     assert fresh.q23_memo == memo
     assert len(memo) == 352
 
 
-def test_precomp_rejects_non_downsets(split, tables):
+def test_precomp_rejects_non_downsets(split):
     lone_upper = split.q23.maximal_points() & -split.q23.maximal_points()
     assert not split.q23.is_downset(lone_upper)
     with pytest.raises(NotADownSet):
-        build_sigma_precomp(split, lone_upper, tables[1])
+        build_sigma_precomp(split, lone_upper)
 
 
-def test_sigma_fast_matches_defining_sum(split, tables, catalogue, q23_members):
+def test_sigma_fast_matches_defining_sum(split, catalogue, q23_members):
     _, records = catalogue
     rng = random.Random(99)
     for rec in rng.sample(list(records), 12):
-        pre = build_sigma_precomp(split, rec.representative, tables[1])
+        pre = build_sigma_precomp(split, rec.representative)
         for _ in range(4):
             a = random_submask(rng, rec.delta_mask)
             want = sigma_reference(split, rec.representative | a, q23_members)
-            assert sigma_fast(split, rec.representative, a, pre) == want
+            assert sigma_fast(split, a, pre) == want
 
 
-def test_sigma_fast_rejects_non_free_points(split, tables, catalogue):
+def test_sigma_fast_rejects_non_free_points(split, catalogue):
     _, records = catalogue
     rec = next(r for r in records if r.type_code == "1-300")
-    pre = build_sigma_precomp(split, rec.representative, tables[1])
+    pre = build_sigma_precomp(split, rec.representative)
     covered_bit = pre.covered & -pre.covered
     with pytest.raises(DomainError):
-        sigma_fast(split, rec.representative, covered_bit, pre)
-    with pytest.raises(DomainError):
-        sigma_fast(split, rec.representative ^ covered_bit, 0, pre)
+        sigma_fast(split, covered_bit, pre)
 
 
-def test_class_parameters_are_label_independent(split, tables, catalogue, iso_table):
+def test_class_parameters_are_label_independent(split, catalogue, iso_table):
     'any member of a class reproduces the row of its representative'
     _, records = catalogue
     rng = random.Random(7)
     q23 = split.q23
     for rec, row in rng.sample(list(zip(records, iso_table)), 8):
         member = rng.choice(rec.members)
-        pre = build_sigma_precomp(split, member, tables[1])
+        pre = build_sigma_precomp(split, member)
         assert pre.down_count == row["downsets_below"]
         assert t_of(split, q23.to_parent_mask(member)) == row["t"]
-        assert sigma_fast(split, member, 0, pre) == row["sigma"]
+        assert sigma_fast(split, 0, pre) == row["sigma"]
 
 
-def test_class_parameters_match_the_catalogue_and_reject_isolated_points(split, tables, catalogue, iso_table):
+def test_class_parameters_match_the_catalogue_and_reject_isolated_points(split, catalogue, iso_table):
     _, records = catalogue
     for rec, row in zip(records, iso_table):
-        got = class_parameters(split, rec.representative, tables[1])
+        got = class_parameters(split, rec.representative)
         assert got == {key: row[key] for key in got}
     rec = next(r for r in records if r.type_code == "1-300")
     with pytest.raises(StructureError):
-        class_parameters(split, rec.representative | (rec.delta_mask & -rec.delta_mask), tables[1])
+        class_parameters(split, rec.representative | (rec.delta_mask & -rec.delta_mask))
+
+
+def test_the_split_builds_the_subset_sum_table_once(catalogue, monkeypatch):
+    'a split, its iso route and every class row make one containment_sums call, the one for t1'
+    original = methods.containment_sums
+    calls = []
+    monkeypatch.setattr(methods, "containment_sums", lambda *args: calls.append(args) or original(*args))
+    fresh = build_qsplit()
+    _, records = catalogue
+    assert bmm6_iso(fresh, records).value == BMM6
+    for rec in records:
+        class_parameters(fresh, rec.representative)
+    assert len(calls) == 1
 
 
 # -- residual law and suppliers ----------------------------------------------
