@@ -21,7 +21,6 @@ from .boolean import (
     theorem2_residual_shape,
 )
 from .engine import (
-    DecompositionTerm,
     chain_product_count,
     containment_counts,
     count_downsets,

@@ -20,6 +20,7 @@ rebound on its module, by a test or a tracer, is the one called.
 
 import argparse
 import functools
+import os
 import sys
 
 from .boolean import boolean, dedekind_standard, dedekind_via_theorem2, sub_poset
@@ -115,7 +116,11 @@ def _parse_pivot(p, text):
 
 
 def cmd_count(args):
-    with open(args.file, "rb") as handle:
+    # opened without waiting for a writer, then read blocking: a FIFO with none reads as empty
+    nonblock = getattr(os, "O_NONBLOCK", 0)
+    with open(args.file, "rb", opener=lambda path, flags: os.open(path, flags | nonblock)) as handle:
+        if nonblock:
+            os.set_blocking(handle.fileno(), True)
         data = handle.read(MAX_FILE_BYTES + 1)
     if len(data) > MAX_FILE_BYTES:
         raise ParseError("%s is larger than %d bytes" % (args.file, MAX_FILE_BYTES))
@@ -136,13 +141,14 @@ def cmd_count(args):
     sizes = {}
     value = 0
     terms = 0
-    for term in decompose(p, m_mask):
+    memo = {}  # one memo, and so one MEMO_BUDGET, for all terms
+    for _, mask, _ in decompose(p, m_mask):
         terms += 1
         if terms > args.limit:
             raise CapacityError("more than %d decomposition terms" % args.limit)
-        size = _popcount(term.mask)
+        size = _popcount(mask)
         sizes[size] = sizes.get(size, 0) + 1
-        value += term.residual_count
+        value += count_downsets(p, mask, memo)
     hist = sorted(sizes.items())
     if args.format == "json":
         return _json({"value": value, "terms": terms, "residual_sizes": hist})
@@ -194,10 +200,7 @@ def _dedekind(n, method):
     from . import methods
 
     if method == "theorem2":
-        if not 0 <= n <= 6:
-            raise DomainError("theorem2 ladder covers n = 0..6")
-        bmm = methods.middle_counts(n) if n >= 3 else {}
-        return dedekind_via_theorem2(n, bmm).value, max(0, n - 2)
+        return dedekind_via_theorem2(n, methods.middle_counts(n)).value, max(0, n - 2)
     rep = _route(method, n)
     return dedekind_via_theorem2(n, {**methods.middle_counts(n - 1), n: rep.value}).value, rep.evaluations
 
@@ -317,7 +320,9 @@ def _check_mu():
 
 def _check_decomposition():
     b3 = boolean(3)
-    counts = sorted(t.residual_count for t in decompose(b3.lattice, b3.levels[1]))
+    memo = {}
+    terms = decompose(b3.lattice, b3.levels[1])
+    counts = sorted(count_downsets(b3.lattice, mask, memo) for _, mask, _ in terms)
     _expect(counts == [1, 1, 1, 2, 2, 2, 2, 9], counts)
     _expect(sum(counts) == 20)
 

@@ -16,7 +16,9 @@ maximal x.  A point set counts as the product of its components' counts, and
 the memo keys only connected sets of two or more points: a disconnected set
 is never stored, since its components are.  Any point set of p can be
 counted, so the residuals of a trace decomposition stay point sets of the
-decomposed poset and share one memo.
+decomposed poset: a caller counts each with count_downsets(p, mask, memo)
+through one memo it holds, shared across the terms of one decomposition and
+across decompositions of residuals nested inside it.
 
 The count checks and splits its mask once, with Poset.components; every
 set the recursion meets is a subset of that mask, so it floods the
@@ -64,29 +66,6 @@ from .poset import _bits, _by_bytes, _byte_tables, _popcount, _relabel
 DEFAULT_ENUM_LIMIT = 1 << 24
 # most entries a count_downsets memo may hold: 1.6 times the 1306315 that B7 leaves
 MEMO_BUDGET = 1 << 21
-
-
-class DecompositionTerm:
-    """One summand of the trace decomposition: trace N and the residual
-    p - (up(M - N) | down(N)) as the point set mask of the decomposed p.
-
-    weight is the number of terms this one stands for: the size of N's orbit
-    when decompose was given automorphisms, else 1.  residual_count counts
-    the down-sets on mask through the memo all terms of one decomposition
-    share.
-    """
-    __slots__ = ("N", "mask", "weight", "_owner", "_memo")
-
-    def __init__(self, N, mask, weight=1, _owner=None, _memo=None):
-        self.N = N
-        self.mask = mask
-        self.weight = weight
-        self._owner = _owner
-        self._memo = _memo
-
-    @property
-    def residual_count(self):
-        return count_downsets(self._owner, self.mask, self._memo)
 
 
 @functools.cache
@@ -215,11 +194,15 @@ def enumerate_downsets(p, limit=DEFAULT_ENUM_LIMIT):
 
 
 def decompose(p, m_mask, perms=()):
-    """Stream the trace decomposition of p over the pivot set M.
+    """Stream the trace decomposition of p over the pivot set M as
+    (N, mask, weight) tuples.
 
-    One term per down-set N of the sub-poset on M, with the residual
-    p - (up(M - N) | down(N)) as a point set of p; no sub-poset is built,
-    and the terms of one call count their residuals through one memo.
+    One term per down-set N of the sub-poset on M, with mask the residual
+    p - (up(M - N) | down(N)) as a point set of p; no sub-poset and no memo
+    is built.  The caller counts a residual with count_downsets(p, mask,
+    memo), one memo serving all terms.  A residual R decomposes again over
+    a pivot set inside R: each of those terms leaves mask & R of R, counted
+    through the same memo.
 
     perms, point permutations of p as coordinate_automorphisms returns them,
     collapse the terms: one term per orbit of traces under the group they
@@ -235,17 +218,16 @@ def decompose(p, m_mask, perms=()):
         if _relabel(m_mask, perm) != m_mask:
             raise DomainError("%r does not map the pivot set 0x%x onto itself" % (perm, m_mask))
     traces = _enum(p, m_mask)
-    memo = {}
     # orbits must see every trace first; without perms the terms stream, so
     # a caller's term limit stops a decomposition too large to list
     for orbit in orbits(traces, perms) if perms else ([n_mask] for n_mask in traces):
-        mask = p.carrier & ~p.updown(m_mask, orbit[0])
-        yield DecompositionTerm(N=orbit[0], mask=mask, weight=len(orbit), _owner=p, _memo=memo)
+        yield orbit[0], p.carrier & ~p.updown(m_mask, orbit[0]), len(orbit)
 
 
 def count_via_decomposition(p, m_mask):
-    'd(p) as the sum of residual counts over the trace decomposition'
-    return sum(term.residual_count for term in decompose(p, m_mask))
+    'd(p) as the sum of residual counts over the trace decomposition, counted through one memo'
+    memo = {}
+    return sum(count_downsets(p, mask, memo) for _, mask, _ in decompose(p, m_mask))
 
 
 def phi_forward(p, m_mask, n_mask, d_mask):

@@ -14,12 +14,13 @@ Five independent routes to the same two constants (6212 down-sets of the
   lemma2  split the 6-atom middle region into two 20-point blocks joined by
           a flip of the first digit plus two 5-point fringes, and sum
           2^t(N) * sigma(N) over the 6212 down-sets N of the bottom block,
-          sigma by its defining inner sum (the slow reference).
+          sigma by its defining inner sum.
   iso     same summation collapsed onto the 34 isomorphism classes of
           isolated-free down-sets, with sigma evaluated by closed formula
           from precomputed structural data and a subset-sum table.
 """
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -62,11 +63,12 @@ class QSplit:
     in the bottom and y in the top block, x < y iff x | 32 <= y.  q23 is the
     bottom block as a poset, its parent indices being words.
     A split compares and hashes by identity, so it can key a cache.
-    It holds the closed-form sigma's class-independent data: upper_fringe
-    and t1, the subset-sum table over the subsets Y of the 10 bottom-level
-    points, bit b of Y standing for the point whose q23_lowers bit is b:
-    t1[Y] sums 2^e(Z) over every Z inside Y.  q23_memo is the
-    count_downsets memo that every core's count shares.
+    It holds the closed-form sigma's class-independent data, which only the
+    iso route reads, so each is built on first read: upper_fringe and t1,
+    the subset-sum table over the subsets Y of the 10 bottom-level points,
+    bit b of Y standing for the point whose q23_lowers bit is b: t1[Y] sums
+    2^e(Z) over every Z inside Y.  q23_memo is the count_downsets memo that
+    every core's count shares.
     """
     lattice: Poset
     m23: int
@@ -75,9 +77,20 @@ class QSplit:
     e4: int
     q23: Poset
     q23_lowers: dict  # q23-local index of each bottom-level point -> its bit among the 10
-    upper_fringe: tuple  # per-upper groups and qualifying upper sets, see _upper_fringe
-    t1: list
     q23_memo: dict = field(default_factory=dict, repr=False)
+
+    @functools.cached_property
+    def upper_fringe(self):
+        'per-upper groups and qualifying upper sets, see _upper_fringe'
+        return _upper_fringe(self.q23)
+
+    @functools.cached_property
+    def t1(self):
+        # 2^e of each subset of the lowers, e read off their words as in fringe_counts; the
+        # zeta transform over the down-sets of a 10-point antichain, all 1024 subsets, sums it
+        words = [self.q23.parent_map[i] for i in self.q23_lowers]
+        t0 = [1 << (5 - _popcount(covered)) for covered in _or_table(words)]
+        return containment_sums(antichain(len(words)), range(len(t0)), t0)
 
 
 def build_qsplit():
@@ -86,10 +99,6 @@ def build_qsplit():
     lv = ctx.levels
     m23 = (lv[2] | lv[3]) & low
     q23 = ctx.lattice.induced(m23)
-    lowers = list(_bits(q23.minimal_points()))
-    # 2^e of each subset of the lowers, e read off their words as in fringe_counts; the
-    # zeta transform over the down-sets of a 10-point antichain, all 1024 subsets, sums it
-    t0 = [1 << (5 - _popcount(covered)) for covered in _or_table([q23.parent_map[i] for i in lowers])]
     return QSplit(
         lattice=ctx.lattice,
         m23=m23,
@@ -97,9 +106,7 @@ def build_qsplit():
         e2=lv[2] & ~low,
         e4=lv[4] & low,
         q23=q23,
-        q23_lowers={i: b for b, i in enumerate(lowers)},
-        upper_fringe=_upper_fringe(q23),
-        t1=containment_sums(antichain(len(lowers)), range(len(t0)), t0),
+        q23_lowers={i: b for b, i in enumerate(_bits(q23.minimal_points()))},
     )
 
 
@@ -145,8 +152,8 @@ def bmm5_nu():
     mid = sub_poset(boolean(5), "middle")
     lowers = mid.minimal_points()
     nu = [0] * (_popcount(lowers) + 1)
-    for term in decompose(mid, mid.carrier & ~lowers, coordinate_automorphisms(mid)):
-        nu[_popcount(term.mask)] += term.weight
+    for _, mask, weight in decompose(mid, mid.carrier & ~lowers, coordinate_automorphisms(mid)):
+        nu[_popcount(mask)] += weight
     value = sum(nu[i] << i for i in range(len(nu)))
     return MethodReport(
         method="nu", value=value, table=nu,
@@ -528,13 +535,9 @@ def lemma1_check(n, q, n_mask):
 
 
 def middle_counts(n_max):
-    'middle-region down-set counts for 3..n_max, by the cheapest route each'
-    out = {}
-    for k in range(3, n_max + 1):
-        if k <= 5:
-            out[k] = count_downsets(sub_poset(boolean(k), "middle"))
-        elif k == 6:
-            out[k] = bmm6_mu().value
-        else:
-            raise DomainError("no middle-region supplier for %d atoms" % k)
-    return out
+    """middle-region down-set counts for 3..n_max, by the cheapest route
+    each; empty below 3, and DomainError past 6 before anything is counted"""
+    if n_max > 6:
+        raise DomainError("no middle-region supplier for %d atoms" % n_max)
+    return {k: count_downsets(sub_poset(boolean(k), "middle")) if k <= 5 else bmm6_mu().value
+            for k in range(3, n_max + 1)}

@@ -4,6 +4,7 @@ import os
 import random
 import sys
 import subprocess
+import time
 
 import pytest
 
@@ -216,6 +217,30 @@ def test_count_of_an_endless_file_is_a_parse_error(capsys):
         2, "", "parse error: /dev/zero is larger than 1048576 bytes\n")
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_count_of_a_fifo_with_no_writer_is_empty(tmp_path):
+    'the file opens without waiting for a writer, and an empty file is a parse error'
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    proc = subprocess.run([sys.executable, "-m", "downsets", "count", str(fifo)],
+                          capture_output=True, text=True, timeout=10, env=CHILD_ENV)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("parse error:")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin on this platform")
+def test_count_reads_a_slow_pipe_on_stdin():
+    'the read blocks until the writer closes the pipe, across a pause in the middle of the file'
+    proc = subprocess.Popen([sys.executable, "-m", "downsets", "count", "/dev/stdin"], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=CHILD_ENV)
+    half = len(DIAMOND_TEXT) // 2
+    proc.stdin.write(DIAMOND_TEXT[:half])
+    proc.stdin.flush()
+    time.sleep(0.5)
+    out, err = proc.communicate(DIAMOND_TEXT[half:], timeout=60)
+    assert (proc.returncode, out, err) == (0, "6\n", "")
+
+
 FUZZ_TOKENS = ("", "0", "1", "11", "12", "-1", "129", "99999999999", "x", "\u00b2",
                "points", "cover", "label", "poset", "v1", "#")
 
@@ -302,6 +327,14 @@ def test_dedekind_out_of_range(capsys):
     assert code == 3
     code, _, err = run(["dedekind", "1", "--method", "standard"], capsys)
     assert code == 4
+
+
+def test_theorem2_outside_its_ladder_is_unsupported(capsys):
+    'the middle-region counts refuse n past their reach before counting; no n is negative'
+    for n in ("8", "100000", "-1"):
+        code, out, err = run(["dedekind", n, "--method", "theorem2"], capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith("unsupported:")
 
 
 @pytest.mark.parametrize("method, n, covered", [

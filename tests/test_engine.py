@@ -101,27 +101,58 @@ def test_atom_level_decomposition_of_the_cube():
     'residual counts over the 8 subsets of the atom level, smallest first'
     p = boolean(3).lattice
     atoms = 0b00010110  # words 1, 2, 4
-    counts = sorted(term.residual_count for term in decompose(p, atoms))
+    memo = {}
+    counts = sorted(count_downsets(p, mask, memo) for _, mask, _ in decompose(p, atoms))
     assert counts == [1, 1, 1, 2, 2, 2, 2, 9]
 
 
 def test_decomposition_terms_carry_residual_masks():
     'on chain(4) over M = {0, 1}, only the full trace leaves points: 2 and 3'
     p = chain(4)
-    terms = sorted(decompose(p, 0b0011), key=lambda term: term.N)
-    assert [(term.N, term.mask) for term in terms] == [(0, 0), (0b01, 0), (0b11, 0b1100)]
-    assert [term.residual_count for term in terms] == [1, 1, 3]
+    terms = sorted(decompose(p, 0b0011))
+    assert terms == [(0, 0, 1), (0b01, 0, 1), (0b11, 0b1100, 1)]
+    assert {type(term) for term in terms} == {tuple}
+    assert [count_downsets(p, mask) for _, mask, _ in terms] == [1, 1, 3]
 
 
 def test_terms_of_one_decomposition_share_a_memo():
-    'counted in reverse order, the terms give the counts and sum of a forward pass'
+    'counted in reverse order through one caller memo, the terms give the counts and sum of a forward pass'
     ctx = boolean(4)
-    forward = list(decompose(ctx.lattice, ctx.levels[2]))
-    counts = [term.residual_count for term in forward]
-    backward = list(decompose(ctx.lattice, ctx.levels[2]))
-    assert len({id(term._memo) for term in backward}) == 1
-    assert [term.residual_count for term in reversed(backward)] == counts[::-1]
+    terms = list(decompose(ctx.lattice, ctx.levels[2]))
+    memo = {}
+    counts = [count_downsets(ctx.lattice, mask, memo) for _, mask, _ in terms]
+    stored = dict(memo)
+    backward = [count_downsets(ctx.lattice, mask, memo) for _, mask, _ in reversed(terms)]
+    assert backward == counts[::-1]
+    assert memo == stored  # the reverse pass finds every count it needs in the memo
     assert sum(counts) == count_downsets(ctx.lattice) == 168
+
+
+def _nested_count(p, outer):
+    """d(p) by decomposing p over outer, then each residual R again over the
+    antichain of R's minimal points; both levels count through one memo"""
+    memo = {}
+    total = 0
+    for _, residual, _ in decompose(p, outer):
+        inner = sum(count_downsets(p, residual & mask, memo)
+                    for _, mask, _ in decompose(p, p.minimal_points(residual)))
+        assert inner == count_downsets(p, residual, memo)
+        total += inner
+    _assert_memo_keys_are_connected(p, memo)
+    return total
+
+
+@pytest.mark.parametrize("which, total", [("B4", 168), ("middle5", 6212)])
+def test_nested_decompositions_count_through_one_memo(which, total):
+    'a residual R decomposed over a set inside R leaves R & mask per term'
+    if which == "B4":
+        ctx = boolean(4)
+        p, outer = ctx.lattice, ctx.levels[2]
+    else:
+        # level-2 words with digit 16 and level-3 words without: residuals of 2-chains and points
+        p = sub_poset(boolean(5), "middle")
+        outer = sum(1 << i for i, w in enumerate(p.parent_map) if (bin(w).count("1") == 2) == (w >= 16))
+    assert _nested_count(p, outer) == count_downsets(p) == total
 
 
 def _assert_memo_keys_are_connected(p, memo):
@@ -365,10 +396,11 @@ def test_random_posets_three_way_agreement():
         assert count_downsets(p, mask) == count_downsets(p.induced(mask))
         m_mask = random_submask(rng, p.carrier)
         assert total == count_via_decomposition(p, m_mask)
-        for term in decompose(p, m_mask):
-            assert term.weight == 1
-            assert term.mask == p.carrier & ~p.updown(m_mask, term.N)
-            assert term.residual_count == count_downsets(p.induced(term.mask))
+        memo = {}
+        for n_mask, mask, weight in decompose(p, m_mask):
+            assert weight == 1
+            assert mask == p.carrier & ~p.updown(m_mask, n_mask)
+            assert count_downsets(p, mask, memo) == count_downsets(p.induced(mask))
 
 
 # -- orbits of coordinate permutations -----------------------------------------
@@ -515,8 +547,9 @@ def test_weighted_decomposition_counts_the_whole_poset(which, terms, classes):
     reduced = list(decompose(p, m_mask, coordinate_automorphisms(p)))
     assert len(list(decompose(p, m_mask))) == terms
     assert len(reduced) == classes
-    assert sum(term.weight for term in reduced) == terms
-    assert sum(term.weight * term.residual_count for term in reduced) == count_downsets(p)
+    assert sum(weight for _, _, weight in reduced) == terms
+    memo = {}
+    assert sum(weight * count_downsets(p, mask, memo) for _, mask, weight in reduced) == count_downsets(p)
 
 
 def test_decompose_rejects_permutations_that_are_not_symmetries_of_the_pivot_set():
@@ -527,4 +560,4 @@ def test_decompose_rejects_permutations_that_are_not_symmetries_of_the_pivot_set
         list(decompose(chain(2), 0b11, [(1, 0)]))  # maps M onto itself, but reverses the order
     with pytest.raises(DomainError):
         list(decompose(p, 0b011, [(1, 0)]))  # not a permutation of the carrier
-    assert sum(term.weight for term in decompose(p, 0b011, [(1, 0, 2)])) == 4
+    assert sum(weight for _, _, weight in decompose(p, 0b011, [(1, 0, 2)])) == 4

@@ -450,6 +450,14 @@ def test_the_split_builds_the_subset_sum_table_once(catalogue, monkeypatch):
     assert len(calls) == 1
 
 
+def test_lemma2_builds_no_subset_sum_table(monkeypatch):
+    'the subset-sum table is built on first read, and lemma2 never reads it'
+    calls = []
+    monkeypatch.setattr(methods, "containment_sums", lambda *args: calls.append(args))
+    assert bmm6_lemma2_reference(build_qsplit()).value == BMM6
+    assert calls == []
+
+
 # -- residual law and suppliers ----------------------------------------------
 
 
@@ -477,3 +485,15 @@ def test_middle_count_supplier():
     assert middle_counts(4) == {3: BMM_COLUMN[3], 4: BMM_COLUMN[4]}
     with pytest.raises(DomainError):
         middle_counts(7)
+
+
+def test_middle_counts_refuse_past_their_reach_before_counting(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("counted")
+
+    monkeypatch.setattr(methods, "count_downsets", refuse)
+    monkeypatch.setattr(methods, "bmm6_mu", refuse)
+    for n_max in (8, 100000):  # 7 too, until a middle(7) supplier exists
+        with pytest.raises(DomainError):
+            middle_counts(n_max)
+    assert middle_counts(2) == middle_counts(-1) == {}
