@@ -143,27 +143,38 @@ def _has_crown(q23, uppers, lowers):
             and all(sum(pair >> u & 1 for pair in pairs) == 2 for u in _bits(uppers)))
 
 
+def _type_key(q23, core_mask):
+    """(u, c1, c2, c3, s) of a down-set without isolated points: u upper
+    points, c_j lower points covered by exactly j of them, and s the -0/-1
+    digit that splits an ambiguous code, or -1 where there is none."""
+    lows = q23.minimal_points()
+    uppers, lowers = core_mask & ~lows, core_mask & lows
+    c = [0, 0, 0, 0]
+    for l in _bits(lowers):
+        j = _popcount(q23.up[l] & uppers)
+        if j > 3:
+            raise StructureError("core has a lower point under %d upper points, the code allows 3" % j)
+        c[j] += 1
+    if c[0]:
+        raise StructureError("core has an uncovered (isolated) lower point")
+    key = (_popcount(uppers), c[1], c[2], c[3])
+    if key == (4, 4, 4, 0):
+        return key + (1 if _has_crown(q23, uppers, lowers) else 0,)
+    if key == (6, 4, 4, 2):
+        triple_mask = sum(1 << l for l in _bits(lowers) if _popcount(q23.up[l] & uppers) == 3)
+        all_covered = all(q23.down[x] & triple_mask for x in _bits(uppers))
+        return key + (0 if all_covered else 1,)
+    return key + (-1,)
+
+
 def type_code(q23, core_mask):
     """Code u-c1c2c3 of a down-set without isolated points: u upper points,
     c_j lower points covered by exactly j of them.  Two codes are ambiguous
     and get a -0/-1 digit: 4-440 splits on containing an 8-crown, 6-442 on
     whether every upper point sits over some triply-covered lower point."""
-    lows = q23.minimal_points()
-    uppers, lowers = core_mask & ~lows, core_mask & lows
-    u = _popcount(uppers)
-    c = [0, 0, 0, 0]
-    for l in _bits(lowers):
-        c[_popcount(q23.up[l] & uppers)] += 1
-    if c[0]:
-        raise StructureError("core has an uncovered (isolated) lower point")
-    code = "%d-%d%d%d" % (u, c[1], c[2], c[3])
-    if code == "4-440":
-        code += "-1" if _has_crown(q23, uppers, lowers) else "-0"
-    elif code == "6-442":
-        triple_mask = sum(1 << l for l in _bits(lowers) if _popcount(q23.up[l] & uppers) == 3)
-        all_covered = all(q23.down[x] & triple_mask for x in _bits(uppers))
-        code += "-0" if all_covered else "-1"
-    return code
+    u, c1, c2, c3, s = _type_key(q23, core_mask)
+    code = "%d-%d%d%d" % (u, c1, c2, c3)
+    return code if s < 0 else "%s-%d" % (code, s)
 
 
 # -- the class catalogue ----------------------------------------------------
@@ -172,22 +183,32 @@ def type_code(q23, core_mask):
 @dataclass
 class IsoClassRecord:
     """One class of isolated-free down-sets of the 20-point middle region;
-    its t, sigma and inner-sum cells are its row of methods.table7."""
-    representative: int      # down-set mask, local to the two-level poset
+    its t, sigma and inner-sum cells are its row of methods.table7.  The
+    representative, iota and delta follow from the fields."""
     type_code: str
-    iota: int                # number of copies among the down-sets
-    delta: int               # number of free lower points
     delta_mask: int          # free lower points of the representative
-    members: tuple           # all copies, as masks
+    members: tuple           # all copies, as ascending masks local to the two-level poset
 
-    def sort_key(self):
-        u, rest = self.type_code.split("-", 1)
-        digits = rest.split("-")
-        c = digits[0]
-        # c3 can be two digits only in the full-carrier class
-        c1, c2, c3 = int(c[0]), int(c[1]), int(c[2:])
-        suffix = int(digits[1]) if len(digits) > 1 else -1
-        return (int(u), self.delta, c1, c2, c3, suffix)
+    @property
+    def representative(self):
+        'the least member'
+        return self.members[0]
+
+    @property
+    def iota(self):
+        'number of copies among the down-sets'
+        return len(self.members)
+
+    @property
+    def delta(self):
+        'number of free lower points'
+        return _popcount(self.delta_mask)
+
+
+def _catalogue_key(q23, rec):
+    'catalogue order: (u, delta, c1, c2, c3, s) of the type code of the representative'
+    u, c1, c2, c3, s = _type_key(q23, rec.representative)
+    return u, rec.delta, c1, c2, c3, s
 
 
 def representation_system(q23):
@@ -224,17 +245,7 @@ def representation_system(q23):
     for members in by_cert.values():
         members.sort()
         rep = members[0]
-        free = lows & ~rep
-        records.append(
-            IsoClassRecord(
-                representative=rep,
-                type_code=type_code(q23, rep),
-                iota=len(members),
-                delta=_popcount(free),
-                delta_mask=free,
-                members=tuple(members),
-            )
-        )
-    records.sort(key=IsoClassRecord.sort_key)
+        records.append(IsoClassRecord(type_code(q23, rep), lows & ~rep, tuple(members)))
+    records.sort(key=lambda rec: _catalogue_key(q23, rec))
     classes_all = [(idx, a) for idx, rec in enumerate(records) for a in range(rec.delta + 1)]
     return classes_all, records

@@ -38,7 +38,6 @@ from .poset import (
 @dataclass
 class MethodReport:
     'outcome of one counting method'
-    method: str
     value: int
     table: object
     evaluations: int
@@ -56,12 +55,12 @@ class QSplit:
     point index is the 6-digit binary word, first digit worth 32:
 
     m23: first digit 0, levels 2..3 (the bottom block, 20 points)
-    m34: first digit 1, levels 3..4 (the top block, 20 points)
     e2:  first digit 1, level 2 (5 points);  e4: first digit 0, level 4
 
-    Flipping the first digit is a shift by 32: m23 << 32 == m34, and for x
-    in the bottom and y in the top block, x < y iff x | 32 <= y.  q23 is the
-    bottom block as a poset, its parent indices being words.
+    Flipping the first digit is a shift by 32, so the top block (first
+    digit 1, levels 3..4) is m23 << 32, and for x in the bottom and y in
+    the top block, x < y iff x | 32 <= y.  q23 is the bottom block as a
+    poset, its parent indices being words.
     A split compares and hashes by identity, so it can key a cache.
     It holds the closed-form sigma's class-independent data, which only the
     iso route reads, so each is built on first read: upper_fringe and t1,
@@ -72,7 +71,6 @@ class QSplit:
     """
     lattice: Poset
     m23: int
-    m34: int
     e2: int
     e4: int
     q23: Poset
@@ -102,7 +100,6 @@ def build_qsplit():
     return QSplit(
         lattice=ctx.lattice,
         m23=m23,
-        m34=(lv[3] | lv[4]) & ~low,
         e2=lv[2] & ~low,
         e4=lv[4] & low,
         q23=q23,
@@ -155,10 +152,7 @@ def bmm5_nu():
     for _, mask, weight in decompose(mid, mid.carrier & ~lowers, coordinate_automorphisms(mid)):
         nu[_popcount(mask)] += weight
     value = sum(nu[i] << i for i in range(len(nu)))
-    return MethodReport(
-        method="nu", value=value, table=nu,
-        evaluations=sum(nu), wall_time=time.perf_counter() - t0,
-    )
+    return MethodReport(value=value, table=nu, evaluations=sum(nu), wall_time=time.perf_counter() - t0)
 
 
 def _gamma_pivot():
@@ -215,10 +209,7 @@ def bmm5_gamma():
         value += weight * sum(math.comb(4, j) * counts[j] for j in range(5))
     columns = sorted(grid)
     table = {"columns": columns, "rows": [[grid[col][j] for col in columns] for j in range(5)]}
-    return MethodReport(
-        method="gamma", value=value, table=table,
-        evaluations=evaluations, wall_time=time.perf_counter() - t0,
-    )
+    return MethodReport(value=value, table=table, evaluations=evaluations, wall_time=time.perf_counter() - t0)
 
 
 def gamma_residual_multiset(n2_mask):
@@ -230,12 +221,11 @@ def gamma_residual_multiset(n2_mask):
 
 
 def bmm5_iso(records):
-    'count from the class catalogue: sum of iota * 2^delta over the 34 classes'
+    'count from the class catalogue: sum of iota * 2^delta over the 34 classes; the table is the records'
     t0 = time.perf_counter()
     value = sum(rec.iota << rec.delta for rec in records)
-    table = [(rec.type_code, rec.iota, rec.delta) for rec in records]
     return MethodReport(
-        method="iso5", value=value, table=table,
+        value=value, table=records,
         evaluations=len(records), wall_time=time.perf_counter() - t0,
     )
 
@@ -329,10 +319,7 @@ def bmm6_mu():
     t0 = time.perf_counter()
     table = _mu_sweep(sub_poset(boolean(6), "middle"), _MU_FIXED)
     value = sum(table[i][j] << (i + j) for i in range(16) for j in range(16))
-    return MethodReport(
-        method="mu", value=value, table=table,
-        evaluations=1 << 20, wall_time=time.perf_counter() - t0,
-    )
+    return MethodReport(value=value, table=table, evaluations=1 << 20, wall_time=time.perf_counter() - t0)
 
 
 def sigma_reference(split, n_local, members):
@@ -358,7 +345,7 @@ def bmm6_lemma2_reference(split):
     pairs = sum(_zeta(index, [1] * len(members)))
     value = sum(s << t for s, t in zip(sigma, t_vec))
     return MethodReport(
-        method="lemma2", value=value, table={"inner_terms": pairs},
+        value=value, table={"inner_terms": pairs},
         evaluations=pairs, wall_time=time.perf_counter() - t0,
     )
 
@@ -510,10 +497,7 @@ def bmm6_iso(split, records=None):
     value = sum(row["iota"] * (row["inner_sum"] << row["t"]) for row in rows)
     # a nonempty core has upper points
     evaluations = sum(1 << rec.delta for rec in records if rec.representative)
-    return MethodReport(
-        method="iso", value=value, table=rows,
-        evaluations=evaluations, wall_time=time.perf_counter() - t0,
-    )
+    return MethodReport(value=value, table=rows, evaluations=evaluations, wall_time=time.perf_counter() - t0)
 
 
 # -- small checks and suppliers ----------------------------------------------

@@ -22,7 +22,7 @@ from downsets import (
     type_code,
 )
 from downsets import isoclasses
-from downsets.isoclasses import _has_crown, coordinate_automorphisms
+from downsets.isoclasses import _catalogue_key, _has_crown, coordinate_automorphisms
 from downsets.poset import _popcount
 from conftest import random_poset
 from frozen import CATALOGUE
@@ -117,8 +117,7 @@ def test_members_partition_the_cores(split, catalogue):
     _, records = catalogue
     seen = set()
     for rec in records:
-        assert rec.representative == min(rec.members)
-        assert len(rec.members) == rec.iota
+        assert list(rec.members) == sorted(rec.members)
         seen.update(rec.members)
     assert len(seen) == 1024
 
@@ -137,6 +136,42 @@ def test_type_code_rejects_isolated_lower_points(split, catalogue):
     rec = next(r for r in records if r.type_code == "1-300")
     with pytest.raises(StructureError):
         type_code(split.q23, rec.representative | (rec.delta_mask & -rec.delta_mask))
+
+
+def test_type_code_rejects_a_lower_point_under_four_uppers():
+    'the code has counts c1..c3 only, so a core with a lower under 4 uppers has none'
+    star = from_covers(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    with pytest.raises(StructureError):
+        type_code(star, star.carrier)
+    with pytest.raises(StructureError):
+        representation_system(star)
+
+
+# lowers 0..15 and uppers 16..19, as upper -> the lowers it sits over
+TWO_DIGIT_COVERS = {
+    16: (4, 5, 10, 11),
+    17: (10, 11, 13, 14),
+    18: tuple(l for l in range(16) if l not in (10, 12)),
+    19: (5, 8, 10, 12, 15),
+}
+
+
+def test_catalogue_orders_on_the_numbers_when_a_count_has_two_digits():
+    'c1 = 10 sorts after c1 = 9: 3-970 before 3-1051, both with delta 0'
+    p = from_covers(20, [(l, u) for u, lows in TWO_DIGIT_COVERS.items() for l in lows])
+    lowers = sum(1 << l for l in range(16))
+    _, records = representation_system(p)
+    keys = []
+    for rec in records:
+        rep = rec.representative
+        uppers = [u for u in TWO_DIGIT_COVERS if rep >> u & 1]
+        under = [sum(l in TWO_DIGIT_COVERS[u] for u in uppers) for l in range(16) if rep >> l & 1]
+        keys.append((len(uppers), _popcount(lowers & ~rep), under.count(1), under.count(2), under.count(3)))
+    assert keys == sorted(keys)
+    assert sorted(rec.type_code for rec in records) == sorted([
+        "0-000", "1-1400", "1-500", "1-400", "2-1330", "2-1230", "2-710", "2-520", "2-420",
+        "3-970", "3-1051", "3-951", "3-621", "4-853",
+    ])
 
 
 def test_suffix_codes_mark_distinct_classes(split, catalogue):
@@ -189,12 +224,11 @@ def catalogue_by_certificates(q23):
     records = []
     for members in by_cert.values():
         rep = min(members)
-        free = lowers & ~q23.down_closure(rep)
         records.append(IsoClassRecord(
-            representative=rep, type_code=type_code(q23, rep), iota=len(members),
-            delta=_popcount(free), delta_mask=free, members=tuple(sorted(members)),
+            type_code=type_code(q23, rep), delta_mask=lowers & ~q23.down_closure(rep),
+            members=tuple(sorted(members)),
         ))
-    return sorted(records, key=IsoClassRecord.sort_key)
+    return sorted(records, key=lambda rec: _catalogue_key(q23, rec))
 
 
 def middle5():

@@ -56,7 +56,7 @@ from frozen import (
 
 
 def test_split_partitions_the_region(split):
-    blocks = [split.m23, split.m34, split.e2, split.e4]
+    blocks = [split.m23, split.m23 << 32, split.e2, split.e4]
     assert [bin(b).count("1") for b in blocks] == [20, 20, 5, 5]
     union = 0
     for b in blocks:
@@ -77,7 +77,8 @@ def test_split_hashes_by_identity(split):
 
 
 def test_flip_map_shape(split):
-    assert split.m23 << 32 == split.m34
+    # the top block: first digit 1, levels 3..4
+    assert split.m23 << 32 == sum(1 << w for w in range(32, 64) if 3 <= bin(w).count("1") <= 4)
     assert all(w < 32 for w in _bits(split.m23))
 
 
@@ -85,7 +86,7 @@ def test_flip_map_carries_the_order(split):
     lat = split.lattice
     for x in _bits(split.m23):
         assert lat.leq(x, x | 32)
-        for y in _bits(split.m34):
+        for y in _bits(split.m23 << 32):
             strictly_below = lat.leq(x, y) and x != y
             assert strictly_below == lat.leq(x | 32, y)
 
@@ -96,9 +97,9 @@ def test_fringe_counters_at_the_extremes(split):
     assert e_of(split, 0) == 5
     assert e_of(split, split.m23) == 0
     with pytest.raises(DomainError):
-        e_of(split, split.m34)
+        e_of(split, split.m23 << 32)
     with pytest.raises(DomainError):
-        t_of(split, split.m34)
+        t_of(split, split.m23 << 32)
 
 
 def test_fringe_counters_match_word_formulas(split, q23_members):
