@@ -176,6 +176,15 @@ def test_memo_keys_are_connected_sets():
         _assert_memo_keys_are_connected(p, memo)
 
 
+@pytest.mark.parametrize("which, total, entries", [("middle6", 7741776, 3030), ("B6", 7828354, 4295)])
+def test_pivot_rule_keeps_the_memo_small(which, total, entries):
+    'a direct count with standard labels stores exactly this many entries; a worse pivot rule stores more'
+    p = sub_poset(boolean(6), "middle") if which == "middle6" else boolean(6).lattice
+    memo = {}
+    assert count_downsets(p, None, memo) == total
+    assert len(memo) == entries
+
+
 def _reference_count(p, mask, memo):
     'the plain loop: split with Poset.components, pivot with _pivot, memoize connected sets'
     total = 1

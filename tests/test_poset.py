@@ -17,7 +17,7 @@ from downsets import (
     poset_to_text,
     product,
 )
-from downsets.engine import _branching_number, _pivot
+from downsets.engine import _pivot
 from downsets.errors import NotADownSet
 from downsets.poset import _subsets
 from conftest import random_poset, random_submask
@@ -271,34 +271,23 @@ def test_pivot_balances_the_split_on_a_chain(k):
     assert _pivot(chain(2 * k + 1), (1 << 2 * k + 1) - 1) == k
 
 
-def test_equal_branching_numbers_round_to_one_double():
-    'the lowest-index pivot rule needs genuine ties to compare equal'
-    # x**2 + x**3 - 1 divides x + x**5 - 1, so t**-2k + t**-3k and t**-k + t**-5k share the root
-    for k in range(1, 12):
-        assert _branching_number(2 * k, 3 * k) == _branching_number(k, 5 * k)
-    for a in range(1, 12):
-        for b in range(1, 12):
-            assert _branching_number(a, b) == _branching_number(b, a)
-
-
-def test_branching_number_matches_bisection_bit_for_bit():
-    'pivots and their ties depend on the exact double, so Newton must land where bisection does'
-
-    def bisection(a, b):
-        if a > b:
-            a, b = b, a
-        lo, hi = 1.0, 2.0
-        for _ in range(64):
-            mid = (lo + hi) / 2
-            if mid ** -a + mid ** -b > 1:
-                lo = mid
-            else:
-                hi = mid
-        return hi
-
-    for a in range(1, 129):
-        for b in range(a, 129):
-            assert _branching_number(a, b) == bisection(a, b), (a, b)
+def test_pivot_takes_the_largest_product_lowest_index_on_ties():
+    'brute force: |up(x) & mask| * |down(x) & mask| per point, ties to the lowest index'
+    rng = random.Random(35)
+    ties = 0
+    for _ in range(300):
+        p = random_poset(rng, rng.choice([6, 12, 24]), density=rng.choice([0.0, 0.1, 0.3, 0.6]))
+        mask = random_submask(rng, p.carrier)
+        if not mask:
+            continue
+        points = [x for x in range(p.n) if mask >> x & 1]
+        product = {x: bin(p.up[x] & mask).count("1") * bin(p.down[x] & mask).count("1")
+                   for x in points}
+        best = max(product.values())
+        leaders = [x for x in points if product[x] == best]
+        ties += len(leaders) > 1
+        assert _pivot(p, mask) == leaders[0]
+    assert ties > 50  # the tie rule is exercised, not only the product
 
 
 @pytest.mark.parametrize("mask", [0, 1 << 5, random.Random(34).getrandbits(12)])
