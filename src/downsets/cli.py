@@ -140,12 +140,13 @@ def cmd_count(args):
     m_mask = _parse_pivot(p, pivot)
     sizes = {}
     value = 0
-    terms = 0
     memo = {}  # one memo, and so one MEMO_BUDGET, for all terms
+    # one term per down-set of the sub-poset on M, so a decomposition past
+    # the limit is refused before any term is streamed
+    terms = count_downsets(p, m_mask, memo)
+    if terms > args.limit:
+        raise CapacityError("more than %d decomposition terms" % args.limit)
     for _, mask, _ in decompose(p, m_mask):
-        terms += 1
-        if terms > args.limit:
-            raise CapacityError("more than %d decomposition terms" % args.limit)
         size = _popcount(mask)
         sizes[size] = sizes.get(size, 0) + 1
         value += count_downsets(p, mask, memo)

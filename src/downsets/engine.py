@@ -22,11 +22,11 @@ terms of one decomposition and across decompositions of residuals nested
 inside it.
 
 The count checks and splits its mask once, with Poset.components; every
-set the recursion meets is a subset of that mask, so it floods the
-components of the rest itself, on the comparability rows, with no check,
-list or generator per set.  A memo holds at most MEMO_BUDGET entries, and a
-count that would store one more raises CapacityError: counting the down-sets
-of height-2 posets is #P-complete, and some files of a few KB need far more.
+set the recursion meets is a subset of that mask, so it splits each with
+poset._flood, the same flood with no check, one list of components per set.
+A memo holds at most MEMO_BUDGET entries, and a count that would store one
+more raises CapacityError: counting the down-sets of height-2 posets is
+#P-complete, and some files of a few KB need far more.
 
 Enumeration takes its pivots by the same rule but removes one point per
 level: every down-set D of the sub-poset on a mask maps to D - {x}, a
@@ -59,7 +59,7 @@ each one.
 """
 
 from .errors import CapacityError, DomainError, NotADownSet, StructureError, TraceMismatch
-from .poset import _bits, _by_bytes, _byte_tables, _popcount, _relabel
+from .poset import _bits, _by_bytes, _byte_tables, _flood, _popcount, _relabel
 
 DEFAULT_ENUM_LIMIT = 1 << 24
 # most entries a count_downsets memo may hold: 1.5 times the 1408348 that
@@ -89,9 +89,10 @@ def _pivot(p, mask):
 def count_downsets(p, mask=None, memo=None):
     """Number of down-sets of the sub-poset of p on mask, all of p by default.
 
-    Each connected component C of two or more points splits on
-    x = _pivot(p, C) into d(C - up(x)) + d(C - down(x)); an isolated point
-    counts 2, and a set counts as the product of its components' counts.
+    Poset.components checks and splits the mask once; each connected
+    component C of two or more points splits on x = _pivot(p, C) into
+    d(C - up(x)) + d(C - down(x)), each side split by poset._flood; an
+    isolated point counts 2, and a set the product of its components' counts.
     memo maps connected point sets of p with two or more points to their
     counts, so calls on one p may share it.  IndexError, as from
     Poset.components, for a mask outside p; CapacityError when a count
@@ -103,40 +104,25 @@ def count_downsets(p, mask=None, memo=None):
         memo = {}
     up, down, comparable = p.up, p.down, p.comparable
 
-    def split(comp):
-        'count a connected set of two or more points on its pivot, and store it'
-        x = _pivot(p, comp)
-        hit = count(comp & ~up[x]) + count(comp & ~down[x])
-        if len(memo) >= MEMO_BUDGET:
-            raise CapacityError("count needs more than the memo budget of %d entries" % MEMO_BUDGET)
-        memo[comp] = hit
-        return hit
-
-    def count(rest):
+    def count(comps):
+        'product of the counts of connected point sets, each of two or more points stored in memo'
         total = 1
-        while rest:
-            # flood from the lowest point left, as Poset.components does
-            todo = rest & -rest
-            comp = rest  # less what the flood leaves
-            rest ^= todo
-            while todo:
-                i = todo.bit_length() - 1
-                todo ^= 1 << i
-                grown = comparable[i] & rest
-                if grown:
-                    rest ^= grown
-                    if not rest:
-                        break
-                    todo |= grown
-            comp ^= rest
-            # every count is positive, so a stored one never falls through to split
-            total *= 2 if comp & (comp - 1) == 0 else memo.get(comp) or split(comp)
+        for comp in comps:
+            if comp & (comp - 1) == 0:
+                total *= 2
+                continue
+            hit = memo.get(comp)
+            if hit is None:
+                x = _pivot(p, comp)
+                hit = (count(_flood(comparable, comp & ~up[x]))
+                       + count(_flood(comparable, comp & ~down[x])))
+                if len(memo) >= MEMO_BUDGET:
+                    raise CapacityError("count needs more than the memo budget of %d entries" % MEMO_BUDGET)
+                memo[comp] = hit
+            total *= hit
         return total
 
-    total = 1
-    for comp in p.components(mask):
-        total *= 2 if comp & (comp - 1) == 0 else memo.get(comp) or split(comp)
-    return total
+    return count(p.components(mask))
 
 
 def _enum(p, mask):

@@ -171,9 +171,13 @@ def type_code(q23, core_mask):
     """Code u-c1c2c3 of a down-set without isolated points: u upper points,
     c_j lower points covered by exactly j of them.  Two codes are ambiguous
     and get a -0/-1 digit: 4-440 splits on containing an 8-crown, 6-442 on
-    whether every upper point sits over some triply-covered lower point."""
+    whether every upper point sits over some triply-covered lower point.
+    When c1 or c2 is 10 or more the counts are written apart, u-c1.c2.c3,
+    so each code reads back as one key: a code without dots has one digit
+    each for c1 and c2, and c3 takes the rest (10-0010 is c3 = 10)."""
     u, c1, c2, c3, s = _type_key(q23, core_mask)
-    code = "%d-%d%d%d" % (u, c1, c2, c3)
+    sep = "" if c1 < 10 and c2 < 10 else "."
+    code = "%d-%s" % (u, sep.join("%d" % c for c in (c1, c2, c3)))
     return code if s < 0 else "%s-%d" % (code, s)
 
 

@@ -80,6 +80,29 @@ def _down_rows(up):
     return tuple(down)
 
 
+def _flood(comparable, rest):
+    """Connected components of the point set rest under the comparability
+    rows, as masks ascending by lowest point; rest is not checked."""
+    out = []
+    while rest:
+        # flood from the lowest point left; each point is expanded at
+        # most once, the highest waiting one first, until none is left
+        todo = rest & -rest
+        comp = rest  # less what the flood leaves
+        rest ^= todo
+        while todo:
+            i = todo.bit_length() - 1
+            todo ^= 1 << i
+            grown = comparable[i] & rest
+            if grown:
+                rest ^= grown
+                if not rest:
+                    break
+                todo |= grown
+        out.append(comp ^ rest)
+    return out
+
+
 class Poset:
     """Finite partial order. Immutable after construction.
 
@@ -254,30 +277,11 @@ class Poset:
         return _relabel(mask, self.parent_map)
 
     def components(self, mask=None):
-        'connected components of the comparability graph, as masks'
+        'connected components of the comparability graph on mask, checked, all points by default'
         if mask is None:
             mask = self.carrier
         self._check(mask)
-        comparable = self.comparable
-        rest = mask
-        out = []
-        while rest:
-            # flood from the lowest point left; each point is expanded at
-            # most once, the highest waiting one first, until none is left
-            todo = rest & -rest
-            comp = rest  # less what the flood leaves
-            rest ^= todo
-            while todo:
-                i = todo.bit_length() - 1
-                todo ^= 1 << i
-                grown = comparable[i] & rest
-                if grown:
-                    rest ^= grown
-                    if not rest:
-                        break
-                    todo |= grown
-            out.append(comp ^ rest)
-        return out
+        return _flood(self.comparable, mask)
 
 
 # -- constructors ----------------------------------------------------------

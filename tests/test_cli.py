@@ -149,6 +149,18 @@ def test_count_term_limit(middle5_file, capsys):
     assert err.startswith("capacity error:")
 
 
+def test_count_refuses_a_decomposition_past_the_limit_before_streaming_it(tmp_path):
+    'the 35 level-3 points of middle(7) are an antichain: 2**35 terms, refused at once'
+    mid = sub_poset(boolean(7), "middle")
+    path = tmp_path / "middle7.poset"
+    path.write_text(poset_to_text(mid))
+    pivot = ",".join(str(i) for i in range(mid.n) if _popcount(mid.parent_map[i]) == 3)
+    proc = subprocess.run([sys.executable, "-m", "downsets", "count", str(path), "--pivot", pivot],
+                          capture_output=True, text=True, timeout=10, env=CHILD_ENV)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "capacity error: more than %d decomposition terms\n" % cli.DEFAULT_ENUM_LIMIT
+
+
 def test_count_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.poset"
     path.write_text("poset v1\npoints 2\ncover 0 5\n")

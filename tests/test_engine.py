@@ -263,6 +263,35 @@ def test_count_rejects_masks_outside_the_carrier():
         assert str(got.value) == str(expected.value)
 
 
+def test_each_count_calls_components_once(monkeypatch):
+    'the layer contract perfbench/tracer.py reads: one Poset.components call per count_downsets call'
+    calls = []
+    components = Poset.components
+
+    def counted(self, mask=None):
+        calls.append(mask)
+        return components(self, mask)
+
+    monkeypatch.setattr(Poset, "components", counted)
+    b5 = boolean(5)
+    middle = sub_poset(b5, "middle")
+    assert count_downsets(middle) == 6212
+    assert len(calls) == 1
+    uppers = sum(1 << i for i in range(middle.n) if b5.levels[3] >> middle.parent_map[i] & 1)
+    mask = middle.carrier & ~(uppers & -uppers)
+    expected = len(enumerate_downsets(middle.induced(mask)))
+    del calls[:]
+    assert count_downsets(middle, mask) == expected
+    assert len(calls) == 1
+    del calls[:]
+    memo, terms, total = {}, 0, 0
+    for _, mask, _ in decompose(middle, uppers):
+        terms += 1
+        total += count_downsets(middle, mask, memo)
+        assert len(calls) == terms
+    assert (terms, total) == (1024, 6212)
+
+
 def test_phi_round_trip_on_every_downset():
     p = boolean(3).lattice
     m = 0b10110101

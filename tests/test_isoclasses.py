@@ -169,9 +169,25 @@ def test_catalogue_orders_on_the_numbers_when_a_count_has_two_digits():
         keys.append((len(uppers), _popcount(lowers & ~rep), under.count(1), under.count(2), under.count(3)))
     assert keys == sorted(keys)
     assert sorted(rec.type_code for rec in records) == sorted([
-        "0-000", "1-1400", "1-500", "1-400", "2-1330", "2-1230", "2-710", "2-520", "2-420",
-        "3-970", "3-1051", "3-951", "3-621", "4-853",
+        "0-000", "1-14.0.0", "1-500", "1-400", "2-13.3.0", "2-12.3.0", "2-710", "2-520", "2-420",
+        "3-970", "3-10.5.1", "3-951", "3-621", "4-853",
     ])
+
+
+def test_distinct_type_keys_give_distinct_codes(monkeypatch):
+    'c1 and c2 of one digit keep the plain code; a larger one writes the counts apart'
+    keys = [(u, c1, c2, c3, -1) for u in (0, 1, 10, 11) for c1 in range(21) for c2 in range(21)
+            for c3 in range(21)]
+    keys += [(u, c1, c2, c3, s) for u in (4, 6) for c1 in range(12) for c2 in range(12)
+             for c3 in range(12) for s in (0, 1)]
+    keys += [(1, 14, 0, 0, -1), (1, 1, 40, 0, -1), (11, 4, 0, 0, -1), (1, 1, 4, 100, -1)]
+    # the key stands in for the core mask, so type_code formats it as given
+    monkeypatch.setattr(isoclasses, "_type_key", lambda q23, key: key)
+    keys = set(keys)
+    assert len({type_code(None, key) for key in keys}) == len(keys)
+    for key, code in [((1, 14, 0, 0, -1), "1-14.0.0"), ((1, 1, 40, 0, -1), "1-1.40.0"),
+                      ((10, 0, 0, 10, -1), "10-0010"), ((4, 4, 4, 0, 1), "4-440-1")]:
+        assert type_code(None, key) == code
 
 
 def test_suffix_codes_mark_distinct_classes(split, catalogue):
