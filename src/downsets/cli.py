@@ -24,13 +24,7 @@ import os
 import sys
 
 from .boolean import boolean, dedekind_standard, dedekind_via_theorem2, sub_poset
-from .engine import (
-    DEFAULT_ENUM_LIMIT,
-    count_downsets,
-    count_via_decomposition,
-    decompose,
-    enumerate_downsets,
-)
+from .engine import count_downsets, count_via_decomposition, decompose, enumerate_downsets
 from .errors import CapacityError, DomainError, MissingInput, ParseError
 from .poset import _popcount, _subsets, chain, poset_from_text, from_covers, product
 
@@ -58,8 +52,6 @@ def _build_parser():
                    help="decompose over these point indices and report term statistics")
     c.add_argument("--dot", action="store_true",
                    help="emit the transitive reduction as a DOT digraph instead")
-    c.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT,
-                   help="cap on enumerated decomposition terms")
 
     d = sub.add_parser("dedekind", parents=[common], help="compute a Dedekind number")
     d.add_argument("n", type=int)
@@ -131,25 +123,20 @@ def cmd_count(args):
     p = poset_from_text(text)
     if args.dot:
         return _dot_digraph(p)
-    pivot = (args.pivot or "").strip()
-    if not pivot:
+    m_mask = _parse_pivot(p, args.pivot or "")
+    if not m_mask:
         value = count_downsets(p)
         if args.format == "json":
             return _json({"value": value})
         return "%d\n" % value
-    m_mask = _parse_pivot(p, pivot)
     sizes = {}
-    value = 0
-    memo = {}  # one memo, and so one MEMO_BUDGET, for all terms
-    # one term per down-set of the sub-poset on M, so a decomposition past
-    # the limit is refused before any term is streamed
-    terms = count_downsets(p, m_mask, memo)
-    if terms > args.limit:
-        raise CapacityError("more than %d decomposition terms" % args.limit)
+    value = terms = 0
+    memo = {}  # one memo, and so one BUDGET of entries, for all terms
     for _, mask, _ in decompose(p, m_mask):
         size = _popcount(mask)
         sizes[size] = sizes.get(size, 0) + 1
         value += count_downsets(p, mask, memo)
+        terms += 1
     hist = sorted(sizes.items())
     if args.format == "json":
         return _json({"value": value, "terms": terms, "residual_sizes": hist})

@@ -24,9 +24,12 @@ inside it.
 The count checks and splits its mask once, with Poset.components; every
 set the recursion meets is a subset of that mask, so it splits each with
 poset._flood, the same flood with no check, one list of components per set.
-A memo holds at most MEMO_BUDGET entries, and a count that would store one
-more raises CapacityError: counting the down-sets of height-2 posets is
-#P-complete, and some files of a few KB need far more.
+One size budget, BUDGET, bounds all three jobs: the entries of a count's
+memo, the down-sets enumerate_downsets lists and the terms of a
+decomposition.  Past it each raises CapacityError: counting the down-sets of
+height-2 posets is #P-complete, and some files of a few KB need far more.
+decompose counts its terms before it lists any, so every caller is refused
+at its first step.
 
 Enumeration takes its pivots by the same rule but removes one point per
 level: every down-set D of the sub-poset on a mask maps to D - {x}, a
@@ -61,10 +64,10 @@ each one.
 from .errors import CapacityError, DomainError, NotADownSet, StructureError, TraceMismatch
 from .poset import _bits, _by_bytes, _byte_tables, _flood, _popcount, _relabel
 
-DEFAULT_ENUM_LIMIT = 1 << 24
-# most entries a count_downsets memo may hold: 1.5 times the 1408348 that
-# middle(7) leaves, the most of any count measured (B7 leaves 1269471)
-MEMO_BUDGET = 1 << 21
+# most memo entries, listed down-sets or decomposition terms one call may
+# hold: 1.5 times the 1408348 memo entries middle(7) leaves, the most of any
+# count measured (B7 leaves 1269471)
+BUDGET = 1 << 21
 
 
 def _pivot(p, mask):
@@ -96,7 +99,7 @@ def count_downsets(p, mask=None, memo=None):
     memo maps connected point sets of p with two or more points to their
     counts, so calls on one p may share it.  IndexError, as from
     Poset.components, for a mask outside p; CapacityError when a count
-    would store more than MEMO_BUDGET entries in memo.
+    would store more than BUDGET entries in memo.
     """
     if mask is None:
         mask = p.carrier
@@ -116,8 +119,8 @@ def count_downsets(p, mask=None, memo=None):
                 x = _pivot(p, comp)
                 hit = (count(_flood(comparable, comp & ~up[x]))
                        + count(_flood(comparable, comp & ~down[x])))
-                if len(memo) >= MEMO_BUDGET:
-                    raise CapacityError("count needs more than the memo budget of %d entries" % MEMO_BUDGET)
+                if len(memo) >= BUDGET:
+                    raise CapacityError("count needs more than the memo budget of %d entries" % BUDGET)
                 memo[comp] = hit
             total *= hit
         return total
@@ -142,13 +145,13 @@ def _enum(p, mask):
     # the sub-poset on mask - {x}; the two lifts above are its full fiber
 
 
-def enumerate_downsets(p, limit=DEFAULT_ENUM_LIMIT):
-    'all down-sets of p as a tuple of masks ascending by bit pattern; CapacityError past limit'
+def enumerate_downsets(p):
+    'all down-sets of p as a tuple of masks ascending by bit pattern; CapacityError past BUDGET'
     out = []
     for d in _enum(p, p.carrier):
         out.append(d)
-        if len(out) > limit:
-            raise CapacityError("more than %d down-sets" % limit)
+        if len(out) > BUDGET:
+            raise CapacityError("more than %d down-sets" % BUDGET)
     out.sort()
     return tuple(out)
 
@@ -170,6 +173,10 @@ def decompose(p, m_mask, perms=()):
     of weight * f(term) equals the unreduced sum of f whenever f is invariant
     under isomorphism of the residual.  DomainError when a permutation is
     not an automorphism of p or does not map M onto itself.
+
+    The first step counts the traces, one count_downsets on M, and raises
+    CapacityError when there are more than BUDGET, before any is listed or
+    passed to orbits, which holds them all at once.
     """
     p._check(m_mask)
     for perm in perms:
@@ -177,9 +184,9 @@ def decompose(p, m_mask, perms=()):
             raise DomainError("%r is not an automorphism of the poset" % (perm,))
         if _relabel(m_mask, perm) != m_mask:
             raise DomainError("%r does not map the pivot set 0x%x onto itself" % (perm, m_mask))
+    if count_downsets(p, m_mask) > BUDGET:
+        raise CapacityError("more than %d decomposition terms" % BUDGET)
     traces = _enum(p, m_mask)
-    # orbits must see every trace first; without perms the terms stream, so
-    # a caller's term limit stops a decomposition too large to list
     for orbit in orbits(traces, perms) if perms else ([n_mask] for n_mask in traces):
         yield orbit[0], p.carrier & ~p.updown(m_mask, orbit[0]), len(orbit)
 

@@ -10,7 +10,7 @@ import pytest
 
 import downsets
 from downsets import StructureError, boolean, poset_to_text, sub_poset
-from downsets import cli
+from downsets import cli, engine
 from downsets.poset import _popcount
 from conftest import random_poset
 from frozen import CATALOGUE, GAMMA_COLUMNS, GAMMA_ROWS, MU_GRID, NU_ROW
@@ -66,8 +66,10 @@ def test_count_plain(diamond_file, capsys):
 
 
 def test_count_empty_pivot_same_as_none(diamond_file, capsys):
-    code, out, _ = run(["count", diamond_file, "--pivot", ""], capsys)
-    assert (code, out) == (0, "6\n")
+    'a pivot list with no index is no pivot: one plain count, not a one-term decomposition'
+    for pivot in ("", ",", " , "):
+        code, out, _ = run(["count", diamond_file, "--pivot", pivot], capsys)
+        assert (code, out) == (0, "6\n")
 
 
 def test_count_json(diamond_file, capsys):
@@ -142,23 +144,28 @@ def test_count_pivot_takes_ascii_digits_only(middle5_file, capsys, token):
     assert err == "parse error: pivot index %r is not an integer\n" % token
 
 
-def test_count_term_limit(middle5_file, capsys):
-    code, _, err = run(
-        ["count", middle5_file, "--pivot", upper_level_pivot(), "--limit", "3"], capsys)
-    assert code == 3
-    assert err.startswith("capacity error:")
+def test_count_term_limit(middle5_file, monkeypatch, capsys):
+    'the upper level of middle(5) has 1024 traces; the one budget, not an option, bounds them'
+    monkeypatch.setattr(engine, "BUDGET", 1023)
+    code, out, err = run(["count", middle5_file, "--pivot", upper_level_pivot()], capsys)
+    assert (code, out) == (3, "")
+    assert err == "capacity error: more than 1023 decomposition terms\n"
+    with pytest.raises(SystemExit) as usage:
+        cli.main(["count", middle5_file, "--pivot", upper_level_pivot(), "--limit", "3"])
+    assert usage.value.code == 2
 
 
 def test_count_refuses_a_decomposition_past_the_limit_before_streaming_it(tmp_path):
-    'the 35 level-3 points of middle(7) are an antichain: 2**35 terms, refused at once'
+    'level 3 of middle(7) is a 35-point antichain: 2**35 and, over 22 of its points, 2**22 terms'
     mid = sub_poset(boolean(7), "middle")
     path = tmp_path / "middle7.poset"
     path.write_text(poset_to_text(mid))
-    pivot = ",".join(str(i) for i in range(mid.n) if _popcount(mid.parent_map[i]) == 3)
-    proc = subprocess.run([sys.executable, "-m", "downsets", "count", str(path), "--pivot", pivot],
-                          capture_output=True, text=True, timeout=10, env=CHILD_ENV)
-    assert (proc.returncode, proc.stdout) == (3, "")
-    assert proc.stderr == "capacity error: more than %d decomposition terms\n" % cli.DEFAULT_ENUM_LIMIT
+    level3 = [str(i) for i in range(mid.n) if _popcount(mid.parent_map[i]) == 3]
+    for points in (level3, level3[:22]):
+        proc = subprocess.run([sys.executable, "-m", "downsets", "count", str(path), "--pivot", ",".join(points)],
+                              capture_output=True, text=True, timeout=10, env=CHILD_ENV)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "capacity error: more than 2097152 decomposition terms\n"
 
 
 def test_count_malformed_file(tmp_path, capsys):

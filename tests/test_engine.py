@@ -86,9 +86,12 @@ def test_enumerate_matches_count_and_is_sorted():
         assert p.is_downset(d)
 
 
-def test_enumerate_respects_limit():
-    with pytest.raises(CapacityError):
-        enumerate_downsets(antichain(10), limit=100)
+def test_enumerate_respects_limit(monkeypatch):
+    monkeypatch.setattr(engine, "BUDGET", 1024)
+    assert len(enumerate_downsets(antichain(10))) == 1024
+    monkeypatch.setattr(engine, "BUDGET", 1023)
+    with pytest.raises(CapacityError, match="more than 1023 down-sets"):
+        enumerate_downsets(antichain(10))
 
 
 def test_decomposition_counts_to_the_same_total():
@@ -223,17 +226,17 @@ def _height_two(rng, lowers, uppers, k):
 
 def test_memo_budget_bounds_the_count(monkeypatch):
     middle = sub_poset(boolean(5), "middle")
-    monkeypatch.setattr(engine, "MEMO_BUDGET", 121)
+    monkeypatch.setattr(engine, "BUDGET", 121)
     memo = {}
     assert count_downsets(middle, None, memo) == 6212
     assert len(memo) == 121
-    monkeypatch.setattr(engine, "MEMO_BUDGET", 120)
+    monkeypatch.setattr(engine, "BUDGET", 120)
     memo = {}
     with pytest.raises(CapacityError, match="memo budget of 120 entries"):
         count_downsets(middle, None, memo)
     assert len(memo) == 120
     p = _height_two(random.Random(2024), 16, 16, 3)
-    monkeypatch.setattr(engine, "MEMO_BUDGET", 40)
+    monkeypatch.setattr(engine, "BUDGET", 40)
     memo = {}
     with pytest.raises(CapacityError, match="memo budget of 40 entries"):
         count_downsets(p, None, memo)
@@ -245,7 +248,7 @@ def test_count_past_the_memo_budget_exits_3(monkeypatch, tmp_path, capsys):
     path.write_text(poset_to_text(_height_two(random.Random(2024), 16, 16, 3)))
     assert cli.main(["count", str(path)]) == 0
     assert capsys.readouterr().out == "2536392\n"
-    monkeypatch.setattr(engine, "MEMO_BUDGET", 50)
+    monkeypatch.setattr(engine, "BUDGET", 50)
     for extra in ([], ["--pivot", "0,1,2,3"]):
         assert cli.main(["count", str(path), *extra]) == 3
         captured = capsys.readouterr()
@@ -288,7 +291,7 @@ def test_each_count_calls_components_once(monkeypatch):
     for _, mask, _ in decompose(middle, uppers):
         terms += 1
         total += count_downsets(middle, mask, memo)
-        assert len(calls) == terms
+        assert len(calls) == 1 + terms  # decompose counts its traces first
     assert (terms, total) == (1024, 6212)
 
 
@@ -588,6 +591,35 @@ def test_weighted_decomposition_counts_the_whole_poset(which, terms, classes):
     assert sum(weight for _, _, weight in reduced) == terms
     memo = {}
     assert sum(weight * count_downsets(p, mask, memo) for _, mask, weight in reduced) == count_downsets(p)
+
+
+def test_decompose_refuses_more_than_the_budget_of_traces_before_listing_one(monkeypatch):
+    'level 2 of B4, 6 points, has 64 traces, and both paths count them before _enum runs'
+    ctx = boolean(4)
+    p, m_mask = ctx.lattice, ctx.levels[2]
+    perms = coordinate_automorphisms(p)
+    monkeypatch.setattr(engine, "BUDGET", 64)
+    assert len(list(decompose(p, m_mask))) == 64
+    assert sum(weight for _, _, weight in decompose(p, m_mask, perms)) == 64
+
+    def unreachable(*args):
+        raise AssertionError("traces listed past the budget")
+
+    monkeypatch.setattr(engine, "BUDGET", 63)
+    monkeypatch.setattr(engine, "_enum", unreachable)
+    monkeypatch.setattr(engine, "orbits", unreachable)
+    for with_perms in ((), perms):
+        terms = decompose(p, m_mask, with_perms)
+        with pytest.raises(CapacityError, match="more than 63 decomposition terms"):
+            next(terms)
+
+
+def test_decompose_accepts_exactly_the_budget_of_traces():
+    p = antichain(21)
+    assert next(decompose(p, p.carrier)) == (0, 0, 1)
+    p = antichain(22)
+    with pytest.raises(CapacityError, match="more than 2097152 decomposition terms"):
+        next(decompose(p, p.carrier))
 
 
 def test_decompose_rejects_permutations_that_are_not_symmetries_of_the_pivot_set():
