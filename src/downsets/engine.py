@@ -28,15 +28,17 @@ One size budget, BUDGET, bounds all three jobs: the entries of a count's
 memo, the down-sets enumerate_downsets lists and the terms of a
 decomposition.  Past it each raises CapacityError: counting the down-sets of
 height-2 posets is #P-complete, and some files of a few KB need far more.
-decompose counts its terms before it lists any, so every caller is refused
-at its first step.
+enumerate_downsets and decompose count what they would list before they
+list any, so every caller is refused at its first step.
 
 Enumeration takes its pivots by the same rule but removes one point per
 level: every down-set D of the sub-poset on a mask maps to D - {x}, a
 down-set on mask - {x}, and the lifts D - {x} and D | {x} that are down-sets
-form its full fiber.  The two-way split would take a pivot per down-set
-listed instead of one per point, which costs more than the filter step per
-down-set and level it saves.
+form its full fiber.  Each lift carries its removal set up(mask - D) |
+down(D), ORing in up(x) without x or down(x) with x, so decompose takes each
+term's residual from the walk.  The two-way split would take a pivot per
+down-set listed instead of one per point, which costs more than the filter
+step per down-set and level it saves.
 
 Symmetric sums run over orbits.  A point permutation that is an order
 automorphism maps down-sets to down-sets and decomposition terms to terms
@@ -129,31 +131,29 @@ def count_downsets(p, mask=None, memo=None):
 
 
 def _enum(p, mask):
+    """Each down-set D of the sub-poset on mask as (D, up(mask - D) | down(D)).
+    D - {x} is a down-set on mask - {x}, and the two lifts below are its full
+    fiber; each ORs in the row of x that its side removes."""
     if mask == 0:
-        yield 0
+        yield 0, 0
         return
     x = _pivot(p, mask)
     bit = 1 << x
-    strict_up = p.up[x] & mask & ~bit
-    down_in = p.down[x] & mask & ~bit
-    for d in _enum(p, mask & ~bit):
+    up, down = p.up[x], p.down[x]
+    strict_up = up & mask & ~bit
+    down_in = down & mask & ~bit
+    for d, removed in _enum(p, mask & ~bit):
         if not d & strict_up:
-            yield d
+            yield d, removed | up
         if d & down_in == down_in:
-            yield d | bit
-    # every down-set D of the sub-poset on mask maps to D - {x}, a down-set of
-    # the sub-poset on mask - {x}; the two lifts above are its full fiber
+            yield d | bit, removed | down
 
 
 def enumerate_downsets(p):
-    'all down-sets of p as a tuple of masks ascending by bit pattern; CapacityError past BUDGET'
-    out = []
-    for d in _enum(p, p.carrier):
-        out.append(d)
-        if len(out) > BUDGET:
-            raise CapacityError("more than %d down-sets" % BUDGET)
-    out.sort()
-    return tuple(out)
+    'all down-sets of p as masks ascending by bit pattern; CapacityError past BUDGET, before listing one'
+    if count_downsets(p) > BUDGET:
+        raise CapacityError("more than %d down-sets" % BUDGET)
+    return tuple(sorted(d for d, _ in _enum(p, p.carrier)))
 
 
 def decompose(p, m_mask, perms=()):
@@ -161,18 +161,19 @@ def decompose(p, m_mask, perms=()):
     (N, mask, weight) tuples.
 
     One term per down-set N of the sub-poset on M, with mask the residual
-    p - (up(M - N) | down(N)) as a point set of p; no sub-poset and no memo
-    is built.  The caller counts a residual with count_downsets(p, mask,
-    memo), one memo serving all terms.  A residual R decomposes again over
-    a pivot set inside R: each of those terms leaves mask & R of R, counted
-    through the same memo.
+    p - (up(M - N) | down(N)) as a point set of p, whose removal set the
+    trace walk builds; no sub-poset and no memo is built.  The caller counts
+    a residual with count_downsets(p, mask, memo), one memo serving all
+    terms.  A residual R decomposes again over a pivot set inside R: each of
+    those terms leaves mask & R of R, counted through the same memo.
 
     perms, point permutations of p as coordinate_automorphisms returns them,
     collapse the terms: one term per orbit of traces under the group they
     generate, N the least trace of the orbit and weight its size, so a sum
     of weight * f(term) equals the unreduced sum of f whenever f is invariant
-    under isomorphism of the residual.  DomainError when a permutation is
-    not an automorphism of p or does not map M onto itself.
+    under isomorphism of the residual, with one Poset.updown per orbit.
+    DomainError when a permutation is not an automorphism of p or does not
+    map M onto itself.
 
     The first step counts the traces, one count_downsets on M, and raises
     CapacityError when there are more than BUDGET, before any is listed or
@@ -186,9 +187,12 @@ def decompose(p, m_mask, perms=()):
             raise DomainError("%r does not map the pivot set 0x%x onto itself" % (perm, m_mask))
     if count_downsets(p, m_mask) > BUDGET:
         raise CapacityError("more than %d decomposition terms" % BUDGET)
-    traces = _enum(p, m_mask)
-    for orbit in orbits(traces, perms) if perms else ([n_mask] for n_mask in traces):
-        yield orbit[0], p.carrier & ~p.updown(m_mask, orbit[0]), len(orbit)
+    if perms:
+        for orbit in orbits((n_mask for n_mask, _ in _enum(p, m_mask)), perms):
+            yield orbit[0], p.carrier & ~p.updown(m_mask, orbit[0]), len(orbit)
+    else:
+        for n_mask, removed in _enum(p, m_mask):
+            yield n_mask, p.carrier & ~removed, 1
 
 
 def count_via_decomposition(p, m_mask):

@@ -108,8 +108,8 @@ class Poset:
 
     up[i] is the mask of all j with i <= j (including i itself); down[i] the
     dual; comparable[i] is up[i] | down[i]. labels is an optional tuple of
-    per-point strings. parent_map, when present, maps local indices back to
-    the indices of the poset this one was induced from.
+    one string per point. parent_map, when present, maps each local index
+    back to the index of the poset this one was induced from.
     """
 
     __slots__ = ("n", "up", "down", "comparable", "labels", "parent_map")
@@ -146,12 +146,17 @@ class Poset:
         return self
 
     def _fill(self, up, down, labels, parent_map):
+        labels = tuple(labels) if labels is not None else None
+        parent_map = tuple(parent_map) if parent_map is not None else None
+        for name, seq in (("labels", labels), ("parent_map", parent_map)):
+            if seq is not None and len(seq) != len(up):
+                raise ValueError("%s has %d entries for %d points" % (name, len(seq), len(up)))
         object.__setattr__(self, "n", len(up))
         object.__setattr__(self, "up", up)
         object.__setattr__(self, "down", down)
         object.__setattr__(self, "comparable", tuple(u | d for u, d in zip(up, down)))
-        object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
-        object.__setattr__(self, "parent_map", tuple(parent_map) if parent_map is not None else None)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "parent_map", parent_map)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poset is immutable")
@@ -205,27 +210,17 @@ class Poset:
     def updown(self, m_mask, n_mask):
         """The removal set of the trace decomposition: up(M minus N) | down(N).
 
-        N must be a down-set of the sub-poset induced on M.  One pass over
-        M's points ORs the down row of each point of N, after checking that
-        it meets no point of M outside N, and the up row of each other point.
+        N must be a down-set of the sub-poset induced on M.  This is the
+        definition, for an N from outside a decomposition's own walk: orbit
+        representatives, phi_inverse, gamma, lemma1_check and theorem 2.
         """
         self._check(m_mask)
         if n_mask & ~m_mask:
             raise NotADownSet("N is not contained in M")
-        up, down = self.up, self.down
-        outside = m_mask ^ n_mask
-        out = 0
-        rest = m_mask
-        while rest:
-            i = rest.bit_length() - 1
-            rest ^= 1 << i
-            if n_mask >> i & 1:
-                if down[i] & outside:
-                    raise NotADownSet("N is not a down-set of the sub-poset on M")
-                out |= down[i]
-            else:
-                out |= up[i]
-        return out
+        below = self.down_closure(n_mask)
+        if below & m_mask & ~n_mask:
+            raise NotADownSet("N is not a down-set of the sub-poset on M")
+        return self.up_closure(m_mask & ~n_mask) | below
 
     def minimal_points(self, mask=None):
         if mask is None:

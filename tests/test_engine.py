@@ -94,6 +94,18 @@ def test_enumerate_respects_limit(monkeypatch):
         enumerate_downsets(antichain(10))
 
 
+def test_enumerate_refuses_past_the_budget_before_listing_one(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("down-sets listed past the budget")
+
+    monkeypatch.setattr(engine, "_enum", unreachable)
+    with pytest.raises(CapacityError, match="more than 2097152 down-sets"):
+        enumerate_downsets(antichain(22))
+    monkeypatch.setattr(engine, "BUDGET", 1023)
+    with pytest.raises(CapacityError, match="more than 1023 down-sets"):
+        enumerate_downsets(antichain(10))
+
+
 def test_decomposition_counts_to_the_same_total():
     p = boolean(3).lattice
     for m_mask in (0, 0b10101010, p.carrier, 0b00000110):
@@ -442,6 +454,35 @@ def test_random_posets_three_way_agreement():
             assert weight == 1
             assert mask == p.carrier & ~p.updown(m_mask, n_mask)
             assert count_downsets(p, mask, memo) == count_downsets(p.induced(mask))
+
+
+def test_decompose_terms_carry_the_removal_sets_of_their_traces():
+    'the walk builds up(M - N) | down(N) as it lifts; its traces are the down-sets of M'
+    rng = random.Random(3303)
+    for k in range(80):
+        p = random_poset(rng, 14, density=rng.choice([0.1, 0.3, 0.6]))
+        m_mask = random_submask(rng, p.carrier)
+        if k % 2:
+            m_mask = p.maximal_points(m_mask)  # an antichain
+        terms = list(decompose(p, m_mask))
+        for n_mask, mask, weight in terms:
+            assert (mask, weight) == (p.carrier & ~p.updown(m_mask, n_mask), 1)
+        sub = p.induced(m_mask)
+        assert sorted(n_mask for n_mask, _, _ in terms) == sorted(
+            sub.to_parent_mask(d) for d in enumerate_downsets(sub))
+
+
+def test_decompose_without_perms_calls_no_updown(monkeypatch):
+    ctx = boolean(4)
+    p, m_mask = ctx.lattice, ctx.levels[2]
+    want = [(n_mask, p.carrier & ~p.updown(m_mask, n_mask), 1) for n_mask, _, _ in decompose(p, m_mask)]
+
+    def unreachable(*args):
+        raise AssertionError("updown called")
+
+    monkeypatch.setattr(Poset, "updown", unreachable)
+    assert list(decompose(p, m_mask)) == want
+    assert len(want) == 64
 
 
 # -- orbits of coordinate permutations -----------------------------------------

@@ -81,6 +81,25 @@ def test_direct_construction_checks_the_carrier_and_the_cap():
         Poset([1 << i for i in range(129)])
 
 
+@pytest.mark.parametrize("labels", [("a",), ("a", "b", "c", "d")])
+def test_construction_needs_one_label_per_point(labels):
+    'too few labels would end induced in an IndexError; one too many would be written out of range'
+    with pytest.raises(ValueError, match="labels has %d entries for 3 points" % len(labels)):
+        Poset([1, 2, 4], labels=labels)
+    with pytest.raises(ValueError, match="labels has"):
+        from_covers(3, [(0, 1)], labels=labels)
+    with pytest.raises(ValueError, match="labels has"):
+        Poset._from_valid_rows([1, 2, 4], labels=labels)
+    assert Poset([1, 2, 4], labels=("a", "b", "c")).induced(0b110).labels == ("b", "c")
+
+
+def test_construction_needs_one_parent_index_per_point():
+    with pytest.raises(ValueError, match="parent_map has 2 entries for 3 points"):
+        Poset([1, 2, 4], parent_map=(0, 1))
+    with pytest.raises(ValueError, match="parent_map has 4 entries for 3 points"):
+        Poset._from_valid_rows([1, 2, 4], parent_map=(0, 1, 2, 3))
+
+
 def test_equal_posets_hash_equal():
     'equality ignores labels and origin, and so does the hash'
     p = chain(3)
