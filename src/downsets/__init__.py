@@ -60,7 +60,6 @@ _LAZY = {
         "are_isomorphic",
         "canonical_form",
         "representation_system",
-        "strip_isolated",
         "type_code",
     ),
     "methods": (

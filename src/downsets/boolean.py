@@ -16,7 +16,7 @@ Region selectors for sub_poset name the retained level range:
 import math
 import time
 
-from .engine import containment_counts, coordinate_automorphisms, enumerate_downsets, orbits
+from .engine import containment_counts, coordinate_automorphisms, orbits
 from .errors import CapacityError, DomainError, MissingInput, StructureError
 from .poset import MAX_POINTS, Poset, _bits, _by_bytes, _byte_tables, _popcount, _subsets
 
@@ -172,10 +172,8 @@ def dedekind_standard(n):
         raise CapacityError("pairwise summation is capped at 7 atoms")
     t0 = time.perf_counter()
     lattice = boolean(n - 2).lattice
-    members = enumerate_downsets(lattice)
-    below, above = containment_counts(lattice, members)
-    below, above = dict(zip(members, below)), dict(zip(members, above))
-    found = sorted(_symmetric_orbits(lattice, members), key=len, reverse=True)
+    below, above = containment_counts(lattice)
+    found = sorted(_symmetric_orbits(lattice, below), key=len, reverse=True)
     ordered = [d for orbit in found for d in orbit]
     value = end = 0
     for orbit in found:
@@ -183,7 +181,7 @@ def dedekind_standard(n):
         own = sum([below[rep & e] * above[rep | e] for e in orbit])
         later = sum([below[rep & e] * above[rep | e] for e in ordered[end:]])
         value += len(orbit) * (own + 2 * later)
-    k = len(members)
+    k = len(below)
     return StandardRun(n=n, value=value, summands=k * (k + 1) // 2, wall_time=time.perf_counter() - t0)
 
 

@@ -449,7 +449,3 @@ def main(argv=None):
         return 4
     sys.stdout.write(out)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -55,12 +55,14 @@ inside D with D - E within {x_1..x_j}; an E that misses x_j lies inside
 D - x_j, a down-set, since a point of D above x_j would come later.  D - x
 is a down-set exactly when x is maximal in D, so the additions are the pairs
 (D, maximal point of D), found once per call and reused by every pass: at
-most k additions per point for k down-sets, not k**2 cells.
+most k additions per point for k down-sets, not k**2 cells.  The transform
+lists the down-sets itself, with enumerate_downsets, so every sum runs over
+all down-sets of p, in ascending order of mask.
 Rising size of down(x) orders the points by a linear extension.  The
 down-sets of the dual are the complements, and D - x is one of p's exactly
 when the complement of D plus x is one of the dual's; so the same pairs,
-swept in the reverse order and direction, sum over the members containing
-each one.
+swept in the reverse order and direction, sum over the down-sets
+containing each one.
 """
 
 from .errors import CapacityError, DomainError, NotADownSet, StructureError, TraceMismatch
@@ -232,51 +234,42 @@ def chain_product_count(n, q):
 
     A down-set of chain(n) x q is a weakly increasing n-tuple of down-sets of
     q, so the count is the n-th containment-power of D(q): start from all-ones
-    over the k down-sets and apply the zeta transform n - 1 times, every pass
-    over the one set of pairs _containment_pairs finds.  Python ints keep the
-    sums, which reach k**n, exact.
+    over the k down-sets _containment_pairs lists and apply the zeta
+    transform n - 1 times, every pass over the one set of pairs it finds.
+    Python ints keep the sums, which reach k**n, exact.
     """
     if n < 0:
         raise DomainError("negative chain length %d" % n)
     if n == 0:
         return 1
-    members = enumerate_downsets(q)
-    pairs = _containment_pairs(q, members)
+    members, pairs = _containment_pairs(q)
     f = [1] * len(members)
     for _ in range(n - 1):
         f = _zeta(pairs, f)
     return sum(f)
 
 
-def _containment_pairs(p, members):
-    """The additions of the zeta transform over members, all down-sets of p
-    in any order: per point x with any, in a linear extension, the flat array
-    d0, s0, d1, s1, ... of the positions of each member D with x maximal and
-    of D - x.  Maximal points come from one table of strict down rows.
-    NotADownSet for a member that is not a down-set of p, StructureError
-    for a member listed twice or when some D - x is not a member."""
+def _containment_pairs(p):
+    """(members, pairs): members the down-sets of p as enumerate_downsets
+    lists them, pairs the additions of the zeta transform over them: per
+    point x with any, in a linear extension, the flat array d0, s0, d1, s1,
+    ... of the positions of each member D with x maximal and of D - x.
+    Maximal points come from one table of strict down rows."""
     from array import array  # an extension module, which count need not load
 
+    members = enumerate_downsets(p)
     index = {d: i for i, d in enumerate(members)}
-    if len(index) != len(members):
-        raise StructureError("a member is listed twice")
     tables = _byte_tables([row ^ (1 << i) for i, row in enumerate(p.down)])
     pairs = [array("l") for _ in range(p.n)]
     for i, d in enumerate(members):
-        under = _by_bytes(d, tables)
-        if under & ~d:
-            raise NotADownSet("member 0x%x is not a down-set" % d)
-        tops = d & ~under
+        tops = d & ~_by_bytes(d, tables)
         while tops:
             low = tops & -tops
             tops ^= low
-            at = index.get(d ^ low)
-            if at is None:
-                raise StructureError("0x%x is a down-set but not a member" % (d ^ low))
             pair = pairs[low.bit_length() - 1]
             pair.append(i)
-            pair.append(at)
-    return [pairs[x] for x in sorted(range(p.n), key=lambda x: _popcount(p.down[x])) if pairs[x]]
+            pair.append(index[d ^ low])
+    return members, [pairs[x] for x in sorted(range(p.n), key=lambda x: _popcount(p.down[x])) if pairs[x]]
 
 
 def _zeta(pairs, f):
@@ -289,29 +282,28 @@ def _zeta(pairs, f):
     return g
 
 
-def containment_sums(p, members, f):
-    """Per member, the sum of the numbers f (one per member) over the members
-    it contains, by the zeta transform of the module docstring.  members are
-    all down-sets of p, in any order; each partial sum is a sub-sum of the
-    final one.  NotADownSet or StructureError for other members, as from
-    _containment_pairs."""
-    return _zeta(_containment_pairs(p, members), f)
+def containment_sums(p, f):
+    """Per down-set of p, the sum of the numbers f over the down-sets it
+    contains, by the zeta transform of the module docstring.  f holds one
+    number per down-set and the sums come back in the same order, the
+    ascending masks of enumerate_downsets; each partial sum is a sub-sum of
+    the final one.  DomainError when len(f) is not the number of down-sets."""
+    members, pairs = _containment_pairs(p)
+    if len(f) != len(members):
+        raise DomainError("%d numbers for %d down-sets" % (len(f), len(members)))
+    return _zeta(pairs, f)
 
 
-def containment_counts(p, members):
-    """Per member: how many members it contains and how many contain it.
-    members are all down-sets of p, in any order, as for containment_sums.
-    Both counts sweep one set of pairs: the second in the reverse order and
-    direction, which is the zeta transform over the complements, the
-    down-sets of the dual."""
-    pairs = _containment_pairs(p, members)
-    below = _zeta(pairs, [1] * len(members))
-    above = [1] * len(members)
-    for flat in reversed(pairs):
-        it = iter(flat)
-        for d, s in zip(it, it):
-            above[s] += above[d]
-    return below, above
+def containment_counts(p):
+    """(below, above): dicts keyed by the down-sets of p, how many down-sets
+    each contains and how many contain it.  Both are zeta transforms over one
+    set of pairs, the second swept in the reverse order and direction, which
+    is the transform over the complements, the down-sets of the dual."""
+    members, pairs = _containment_pairs(p)
+    ones = [1] * len(members)
+    below = _zeta(pairs, ones)
+    above = _zeta([reversed(flat) for flat in reversed(pairs)], ones)
+    return dict(zip(members, below)), dict(zip(members, above))
 
 
 # -- symmetry ----------------------------------------------------------------

@@ -120,16 +120,7 @@ def are_isomorphic(p, q):
     return canonical_form(p) == canonical_form(q)
 
 
-# -- isolated points and type codes ----------------------------------------
-
-
-def strip_isolated(p):
-    '(sub-poset without isolated points, number of isolated points removed)'
-    iso = 0
-    for i in range(p.n):
-        if p.comparable[i] == 1 << i:
-            iso |= 1 << i
-    return p.induced(p.carrier & ~iso), _popcount(iso)
+# -- type codes ------------------------------------------------------------
 
 
 def _has_crown(q23, uppers, lowers):

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from .boolean import boolean, sub_poset
 from .engine import (
     _containment_pairs, _zeta, containment_sums, coordinate_automorphisms, count_downsets, decompose,
-    enumerate_downsets,
 )
 from .errors import DomainError, NotADownSet, ShapeError, StructureError
 from .poset import (
@@ -88,7 +87,7 @@ class QSplit:
         # zeta transform over the down-sets of a 10-point antichain, all 1024 subsets, sums it
         words = [self.q23.parent_map[i] for i in self.q23_lowers]
         t0 = [1 << (5 - _popcount(covered)) for covered in _or_table(words)]
-        return containment_sums(antichain(len(words)), range(len(t0)), t0)
+        return containment_sums(antichain(len(words)), t0)
 
 
 def build_qsplit():
@@ -338,9 +337,8 @@ def bmm6_lemma2_reference(split):
     2^e, and the number of inner terms (contained pairs), from ones, which
     is the evaluation counter."""
     t0 = time.perf_counter()
-    members = enumerate_downsets(split.q23)
+    members, index = _containment_pairs(split.q23)
     e_vec, t_vec = fringe_counts(split, members)
-    index = _containment_pairs(split.q23, members)
     sigma = _zeta(index, [1 << e for e in e_vec])
     pairs = sum(_zeta(index, [1] * len(members)))
     value = sum(s << t for s, t in zip(sigma, t_vec))

@@ -485,9 +485,9 @@ def test_strict_verify_finds_the_pairs_of_q23_once(capsys, monkeypatch):
     pairs = engine._containment_pairs
     found = []
 
-    def counted(p, members):
+    def counted(p):
         found.append(p)
-        return pairs(p, members)
+        return pairs(p)
 
     monkeypatch.setattr(engine, "_containment_pairs", counted)
     monkeypatch.setattr(methods, "_containment_pairs", counted)

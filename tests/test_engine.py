@@ -35,6 +35,7 @@ from downsets import cli, engine, poset_to_text
 from downsets.engine import _pivot, containment_sums, coordinate_automorphisms, orbits
 from downsets.poset import _by_bytes, _byte_tables, _or_table, _relabel
 from conftest import random_poset, random_submask
+from frozen import B7
 
 
 def test_counts_on_known_shapes():
@@ -347,11 +348,9 @@ def test_phi_inverse_rejects_masks_outside_the_carrier():
 
 
 def test_containment_counts_small():
-    lattice = boolean(2).lattice
-    fam = enumerate_downsets(lattice)
-    below, above = containment_counts(lattice, fam)
-    assert sum(below) == 20
-    assert sum(above) == 20
+    below, above = containment_counts(boolean(2).lattice)
+    assert sum(below.values()) == 20
+    assert sum(above.values()) == 20
     assert below[0] == 1  # the empty set contains itself only
     assert above[0] == 6
 
@@ -365,11 +364,11 @@ def test_containment_counts_match_a_double_loop():
     for q, members in families:
         below = [sum(1 for e in members if e & ~d == 0) for d in members]
         above = [sum(1 for d in members if e & ~d == 0) for e in members]
-        assert containment_counts(q, members) == (below, above)
+        assert containment_counts(q) == (dict(zip(members, below)), dict(zip(members, above)))
         weights = [(1 << 70) + i for i in range(len(members))]
         sums = [[sum(w for e, w in zip(members, weights) if e & ~d == 0), b] for d, b in zip(members, below)]
         columns = [weights, [1] * len(members)]
-        assert [list(row) for row in zip(*(containment_sums(q, members, col) for col in columns))] == sums
+        assert [list(row) for row in zip(*(containment_sums(q, col) for col in columns))] == sums
 
 
 def test_containment_sums_on_shuffled_points():
@@ -396,11 +395,11 @@ def test_containment_sums_on_shuffled_points():
         for rows in (vector, small, wide):
             loop = [[sum(col) for col in zip(*(r for r, e in zip(rows, members) if e & ~d == 0))]
                     for d in members]
-            got = zip(*(containment_sums(q, members, list(col)) for col in zip(*rows)))
+            got = zip(*(containment_sums(q, list(col)) for col in zip(*rows)))
             assert [list(row) for row in got] == loop
         below = [sum(1 for e in members if e & ~d == 0) for d in members]
         above = [sum(1 for d in members if e & ~d == 0) for e in members]
-        assert containment_counts(q, members) == (below, above)
+        assert containment_counts(q) == (dict(zip(members, below)), dict(zip(members, above)))
     assert enumerate_downsets(posets[0]) == (0,)
 
 
@@ -411,7 +410,25 @@ def test_containment_counts_on_b5():
     memo = {}
     below = [count_downsets(lattice, d, memo) for d in fam]
     above = [count_downsets(lattice, lattice.carrier & ~d, memo) for d in fam]
-    assert containment_counts(lattice, fam) == (below, above)
+    assert containment_counts(lattice) == (dict(zip(fam, below)), dict(zip(fam, above)))
+
+
+def test_containment_sums_take_one_number_per_downset():
+    'B2 has 6 down-sets: 5 or 7 numbers are refused, not cut short or read past'
+    lattice = boolean(2).lattice
+    assert containment_sums(lattice, [1] * 6) == [1, 2, 3, 3, 5, 6]
+    for k in (5, 7):
+        with pytest.raises(DomainError):
+            containment_sums(lattice, [1] * k)
+
+
+def test_standard_lists_the_downsets_once(monkeypatch):
+    'dedekind_standard(7) lists the 7581 down-sets of B5 once, for the counts and the orbits alike'
+    original = engine.enumerate_downsets
+    calls = []
+    monkeypatch.setattr(engine, "enumerate_downsets", lambda p: calls.append(p) or original(p))
+    assert dedekind_standard(7).value == B7
+    assert len(calls) == 1
 
 
 def test_chain_product_count_past_63_bits():
@@ -552,31 +569,6 @@ def test_orbits_reject_members_outside_the_permutations():
         with pytest.raises(DomainError):
             list(orbits(masks, [swap]))
     assert list(orbits([0b10000], [])) == [[0b10000]]
-
-
-def test_containment_counts_take_members_in_any_order():
-    lattice = boolean(3).lattice
-    fam = enumerate_downsets(lattice)
-    below, above = containment_counts(lattice, fam)
-    shuffled = list(fam)
-    random.Random(3).shuffle(shuffled)
-    at = [fam.index(d) for d in shuffled]
-    assert containment_counts(lattice, shuffled) == ([below[i] for i in at], [above[i] for i in at])
-    weights = list(range(len(fam)))
-    sums = containment_sums(lattice, fam, weights)
-    assert containment_sums(lattice, shuffled, [weights[i] for i in at]) == [sums[i] for i in at]
-
-
-def test_containment_counts_reject_a_family_that_is_not_all_the_downsets():
-    lattice = boolean(2).lattice
-    every = enumerate_downsets(lattice)
-    for fam, error in [((0, 0b11), StructureError),  # 0b11 - {1} = 0b01 is a down-set, not a member
-                       ((0, 0b01, 0b10), NotADownSet),  # point 1 (word 01) without point 0 below it
-                       (every + every[-1:], StructureError)]:  # a member listed twice
-        with pytest.raises(error):
-            containment_counts(lattice, fam)
-        with pytest.raises(error):
-            containment_sums(lattice, fam, [1] * len(fam))
 
 
 def brute_force_orbits(m, fam):

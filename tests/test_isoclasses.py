@@ -17,7 +17,6 @@ from downsets import (
     from_covers,
     product,
     representation_system,
-    strip_isolated,
     sub_poset,
     type_code,
 )
@@ -85,14 +84,6 @@ def test_canonical_form_distinguishes_dual_pairs():
     vee = from_covers(3, [(0, 1), (0, 2)])
     wedge = from_covers(3, [(0, 2), (1, 2)])
     assert not are_isomorphic(vee, wedge)
-
-
-def test_strip_isolated():
-    p = direct_sum(chain(2), antichain(3))
-    core, dropped = strip_isolated(p)
-    assert dropped == 3
-    assert core.n == 2
-    assert strip_isolated(antichain(4))[0].n == 0
 
 
 def test_catalogue_matches_published_rows(catalogue, iso_table):

@@ -158,7 +158,7 @@ def test_updown_requires_the_trace_inside_the_pivot_set():
 
 
 def test_updown_matches_the_closures():
-    'one pass gives up(M - N) | down(N), and rejects N exactly when a down row leaves N inside M'
+    'updown is up(M - N) | down(N) for a down-set N of M, and rejects N exactly when a down row leaves N inside M'
     rng = random.Random(1983)
     for _ in range(60):
         p = random_poset(rng, 20, density=rng.choice([0.1, 0.2, 0.4]))
