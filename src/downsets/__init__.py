@@ -35,12 +35,9 @@ from .errors import (
     CycleError,
     DomainError,
     DownsetError,
-    MissingInput,
     NotADownSet,
     ParseError,
-    ShapeError,
     StructureError,
-    TraceMismatch,
 )
 from .poset import (
     Poset,

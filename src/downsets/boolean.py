@@ -17,7 +17,7 @@ import math
 import time
 
 from .engine import containment_counts, coordinate_automorphisms, orbits
-from .errors import CapacityError, DomainError, MissingInput, StructureError
+from .errors import CapacityError, DomainError, StructureError
 from .poset import MAX_POINTS, Poset, _bits, _by_bytes, _byte_tables, _popcount, _subsets
 
 REGIONS = ("full", "upper", "lower", "middle")
@@ -110,7 +110,7 @@ def dedekind_via_theorem2(n, bmm):
         bm[2] = 2
     for k in range(3, n + 1):
         if k not in bmm:
-            raise MissingInput("missing middle-region count for %d atoms" % k)
+            raise DomainError("missing middle-region count for %d atoms" % k)
         bm[k] = bmm[k] + 2 + sum(math.comb(k, i) * bm[i] for i in range(2, k))
     b = {}
     for m in range(n + 1):

@@ -7,8 +7,9 @@ suite.  Output is plain decimal text, CSV or JSON, and is byte-identical
 across runs and --jobs settings: nothing time- or machine-dependent is ever
 printed.
 
-Exit codes: 0 ok, 1 verification failure, 2 parse error, 3 capacity error,
-4 unsupported request.
+Exit codes: 0 ok, 1 verification failure, 2 parse or usage error (ParseError,
+OSError; a file's CycleError arrives as a ParseError), 3 CapacityError, 4
+DomainError; any other error propagates as an internal fault.
 
 Each function that runs a middle-region route, a table or a verify check
 imports methods itself, and isoclasses where an iso route or a catalogue
@@ -25,7 +26,7 @@ import sys
 
 from .boolean import boolean, dedekind_standard, dedekind_via_theorem2, sub_poset
 from .engine import count_downsets, count_via_decomposition, decompose, enumerate_downsets
-from .errors import CapacityError, DomainError, MissingInput, ParseError
+from .errors import CapacityError, DomainError, ParseError
 from .poset import _popcount, _subsets, chain, poset_from_text, from_covers, product
 
 
@@ -48,10 +49,11 @@ def _build_parser():
 
     c = sub.add_parser("count", parents=[common], help="count the down-sets of a poset file")
     c.add_argument("file")
-    c.add_argument("--pivot", default=None, metavar="I,J,...",
-                   help="decompose over these point indices and report term statistics")
-    c.add_argument("--dot", action="store_true",
-                   help="emit the transitive reduction as a DOT digraph instead")
+    view = c.add_mutually_exclusive_group()
+    view.add_argument("--pivot", default=None, metavar="I,J,...",
+                      help="decompose over these point indices and report term statistics")
+    view.add_argument("--dot", action="store_true",
+                      help="emit the transitive reduction as a DOT digraph instead")
 
     d = sub.add_parser("dedekind", parents=[common], help="compute a Dedekind number")
     d.add_argument("n", type=int)
@@ -444,7 +446,7 @@ def main(argv=None):
     except CapacityError as exc:
         sys.stderr.write("capacity error: %s\n" % exc)
         return 3
-    except (DomainError, MissingInput) as exc:
+    except DomainError as exc:
         sys.stderr.write("unsupported: %s\n" % exc)
         return 4
     sys.stdout.write(out)

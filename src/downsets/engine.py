@@ -65,7 +65,7 @@ swept in the reverse order and direction, sum over the down-sets
 containing each one.
 """
 
-from .errors import CapacityError, DomainError, NotADownSet, StructureError, TraceMismatch
+from .errors import CapacityError, DomainError, NotADownSet, StructureError
 from .poset import _bits, _by_bytes, _byte_tables, _flood, _popcount, _relabel
 
 # most memo entries, listed down-sets or decomposition terms one call may
@@ -211,7 +211,7 @@ def phi_forward(p, m_mask, n_mask, d_mask):
     if not p.is_downset(d_mask):
         raise NotADownSet("D is not a down-set")
     if d_mask & m_mask != n_mask:
-        raise TraceMismatch("D & M is 0x%x, expected 0x%x" % (d_mask & m_mask, n_mask))
+        raise DomainError("D & M is 0x%x, expected 0x%x" % (d_mask & m_mask, n_mask))
     return d_mask & ~p.down_closure(n_mask)
 
 

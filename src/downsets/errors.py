@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per kind of failure.
+
+cli.main exits 2 on ParseError or OSError (a file's CycleError arrives as a
+ParseError), 3 on CapacityError and 4 on DomainError; any other error
+propagates as an internal fault.  Two builtins stay: Poset(...) raises
+ValueError for rows that are not a partial order, and a mask outside the
+carrier raises IndexError."""
 
 
 class DownsetError(Exception):
@@ -22,24 +28,13 @@ class NotADownSet(DownsetError):
     """A set that must be downward closed is not."""
 
 
-class TraceMismatch(DownsetError):
-    """D intersected with the pivot set M is not the expected trace N."""
-
-
 class DomainError(DownsetError):
-    """Arguments outside the domain an operation is defined on."""
-
-
-class MissingInput(DownsetError):
-    """A required input value was not supplied."""
-
-
-class ShapeError(DownsetError):
-    """A residual poset does not have the structure the method relies on."""
+    """Arguments outside the domain an operation is defined on, or a
+    required input value that was not supplied."""
 
 
 class StructureError(DownsetError):
-    """Empirically derived structural data violates a required shape."""
+    """A residual or derived table lacks the shape a method relies on."""
 
 
 class ParseError(DownsetError):

@@ -172,6 +172,13 @@ def type_code(q23, core_mask):
     return code if s < 0 else "%s-%d" % (code, s)
 
 
+def _code_key(code):
+    'the key (u, c1, c2, c3, s) that type_code formatted as code'
+    u, counts, *s = code.split("-")
+    c1, c2, c3 = counts.split(".") if "." in counts else (counts[0], counts[1], counts[2:])
+    return int(u), int(c1), int(c2), int(c3), int(s[0]) if s else -1
+
+
 # -- the class catalogue ----------------------------------------------------
 
 
@@ -200,19 +207,14 @@ class IsoClassRecord:
         return _popcount(self.delta_mask)
 
 
-def _catalogue_key(q23, rec):
-    'catalogue order: (u, delta, c1, c2, c3, s) of the type code of the representative'
-    u, c1, c2, c3, s = _type_key(q23, rec.representative)
-    return u, rec.delta, c1, c2, c3, s
-
-
 def representation_system(q23):
     """Classify every down-set of the two-level poset.
 
     records: one per isomorphism class of isolated-free down-sets (the
     cores), lexicographically least mask as representative, in catalogue
-    order.  classes_all: one (record index, isolated count) pair per class
-    of arbitrary down-sets, since every down-set is a core plus free lower
+    order (u, delta, c1, c2, c3, s), read back from the type code.
+    classes_all: one (record index, isolated count) pair per class of
+    arbitrary down-sets, since every down-set is a core plus free lower
     points and the pair determines the class.
 
     A core is the down-closure of its upper points, so the cores are the
@@ -236,11 +238,12 @@ def representation_system(q23):
             # profile merges with no other and is keyed by the profile instead
             cert = canonical_form(q23.induced(orbit[0])) if len(group) > 1 else profile
             by_cert.setdefault(cert, []).extend(orbit)
-    records = []
+    keyed = []
     for members in by_cert.values():
         members.sort()
-        rep = members[0]
-        records.append(IsoClassRecord(type_code(q23, rep), lows & ~rep, tuple(members)))
-    records.sort(key=lambda rec: _catalogue_key(q23, rec))
+        rec = IsoClassRecord(type_code(q23, members[0]), lows & ~members[0], tuple(members))
+        u, c1, c2, c3, s = _code_key(rec.type_code)
+        keyed.append(((u, rec.delta, c1, c2, c3, s), rec))
+    records = [rec for _, rec in sorted(keyed, key=lambda pair: pair[0])]
     classes_all = [(idx, a) for idx, rec in enumerate(records) for a in range(rec.delta + 1)]
     return classes_all, records

@@ -28,7 +28,7 @@ from .boolean import boolean, sub_poset
 from .engine import (
     _containment_pairs, _zeta, containment_sums, coordinate_automorphisms, count_downsets, decompose,
 )
-from .errors import DomainError, NotADownSet, ShapeError, StructureError
+from .errors import DomainError, NotADownSet, StructureError
 from .poset import (
     Poset, antichain, chain, product, _bits, _by_bytes, _byte_tables, _or_table, _popcount, _relabel, _subsets,
 )
@@ -177,7 +177,7 @@ def _gamma_residual_class(mid, m_mask, n_mask):
         elif size == 2:
             c += 1
         else:
-            raise ShapeError("residual has a %d-point component, expected 2-chains and isolated points" % size)
+            raise StructureError("residual has a %d-point component, expected 2-chains and isolated points" % size)
     return c, a
 
 

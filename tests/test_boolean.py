@@ -5,7 +5,6 @@ import pytest
 from downsets import (
     CapacityError,
     DomainError,
-    MissingInput,
     Poset,
     StructureError,
     boolean,
@@ -80,7 +79,7 @@ def test_ladder_rejects_a_negative_atom_count():
 
 
 def test_ladder_needs_middle_inputs():
-    with pytest.raises(MissingInput):
+    with pytest.raises(DomainError):
         dedekind_via_theorem2(5, {3: 1, 4: 64})
 
 

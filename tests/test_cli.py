@@ -121,6 +121,14 @@ def test_count_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
     assert '  n1 [label="c\\\\d"];' in out.splitlines()
 
 
+def test_count_dot_and_pivot_are_a_usage_error(diamond_file, capsys):
+    'the DOT view reads no pivot, so giving both is refused rather than one ignored'
+    with pytest.raises(SystemExit) as info:
+        cli.main(["count", diamond_file, "--dot", "--pivot", "1"])
+    assert info.value.code == 2
+    assert "--pivot: not allowed with argument --dot" in capsys.readouterr().err
+
+
 def test_count_missing_file(capsys):
     code, _, err = run(["count", "/nonexistent/x.poset"], capsys)
     assert code == 2
@@ -546,6 +554,19 @@ def test_package_has_no_assert_statements():
             tree = ast.parse(handle.read(), filename=name)
         found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_errors_defines_one_type_per_failure_kind():
+    'seven exception types, each a DownsetError; the folded-in ones are gone from the package'
+    from downsets import errors
+
+    kinds = {name: value for name, value in vars(errors).items()
+             if isinstance(value, type) and issubclass(value, BaseException)}
+    assert sorted(kinds) == ["CapacityError", "CycleError", "DomainError", "DownsetError",
+                             "NotADownSet", "ParseError", "StructureError"]
+    assert all(issubclass(kind, errors.DownsetError) for kind in kinds.values())
+    for name in ("ShapeError", "MissingInput", "TraceMismatch"):
+        assert not hasattr(downsets, name) and name not in downsets.__all__
 
 
 def test_package_modules_use_every_import():

@@ -21,7 +21,7 @@ from downsets import (
     type_code,
 )
 from downsets import isoclasses
-from downsets.isoclasses import _catalogue_key, _has_crown, coordinate_automorphisms
+from downsets.isoclasses import _code_key, _has_crown, _type_key, coordinate_automorphisms
 from downsets.poset import _popcount
 from conftest import random_poset
 from frozen import CATALOGUE
@@ -181,6 +181,27 @@ def test_distinct_type_keys_give_distinct_codes(monkeypatch):
         assert type_code(None, key) == code
 
 
+def test_codes_read_back_as_their_keys(monkeypatch):
+    'the catalogue orders its records on the key read back from each code'
+    keys = [(u, c1, c2, c3, s) for u in (0, 4, 11) for c1 in range(13) for c2 in range(13)
+            for c3 in (0, 1, 10, 100) for s in (-1, 0, 1)]
+    monkeypatch.setattr(isoclasses, "_type_key", lambda q23, key: key)
+    assert [_code_key(type_code(None, key)) for key in keys] == keys
+
+
+def test_catalogue_computes_each_type_key_once(split, monkeypatch):
+    calls = []
+
+    def counted(q23, core_mask):
+        calls.append(core_mask)
+        return _type_key(q23, core_mask)
+
+    monkeypatch.setattr(isoclasses, "_type_key", counted)
+    _, records = representation_system(split.q23)
+    assert len(calls) == 34
+    assert sorted(calls) == sorted(rec.representative for rec in records)
+
+
 def test_suffix_codes_mark_distinct_classes(split, catalogue):
     'the two -0/-1 splits exist because the bare codes collide'
     q23 = split.q23
@@ -235,7 +256,12 @@ def catalogue_by_certificates(q23):
             type_code=type_code(q23, rep), delta_mask=lowers & ~q23.down_closure(rep),
             members=tuple(sorted(members)),
         ))
-    return sorted(records, key=lambda rec: _catalogue_key(q23, rec))
+
+    def order(rec):
+        u, c1, c2, c3, s = _type_key(q23, rec.representative)
+        return u, rec.delta, c1, c2, c3, s
+
+    return sorted(records, key=order)
 
 
 def middle5():

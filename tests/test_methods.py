@@ -5,7 +5,6 @@ import pytest
 from downsets import (
     DomainError,
     NotADownSet,
-    ShapeError,
     StructureError,
     bmm5_gamma,
     bmm5_iso,
@@ -198,7 +197,7 @@ def test_gamma_residual_class_depends_only_on_size():
 def test_gamma_residual_class_rejects_a_larger_component():
     'an empty pivot leaves the whole connected region, which is no union of 2-chains and points'
     mid, _, _ = _gamma_pivot()
-    with pytest.raises(ShapeError):
+    with pytest.raises(StructureError):
         _gamma_residual_class(mid, 0, 0)
 
 
