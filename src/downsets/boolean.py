@@ -14,7 +14,6 @@ Region selectors for sub_poset name the retained level range:
 """
 
 import math
-import time
 
 from .engine import containment_counts, coordinate_automorphisms, orbits
 from .errors import CapacityError, DomainError, StructureError
@@ -36,8 +35,9 @@ class BooleanContext:
 def boolean(n):
     if n < 0:
         raise DomainError("negative atom count")
-    if 1 << n > MAX_POINTS:
-        raise CapacityError("lattice on %d atoms has %d points, cap is %d" % (n, 1 << n, MAX_POINTS))
+    if n >= MAX_POINTS.bit_length():  # 2^n > MAX_POINTS, checked without building 2^n
+        points = "%d" % (1 << n) if n < 64 else "2^%d" % n
+        raise CapacityError("lattice on %d atoms has %s points, cap is %d" % (n, points, MAX_POINTS))
     size = 1 << n
     rows = []
     for x in range(size):
@@ -120,13 +120,11 @@ def dedekind_via_theorem2(n, bmm):
 
 class StandardRun:
     'result of the pairwise intersection-union summation'
-    __slots__ = ("n", "value", "summands", "wall_time")
+    __slots__ = ("value", "summands")
 
-    def __init__(self, n, value, summands, wall_time):
-        self.n = n
+    def __init__(self, value, summands):
         self.value = value
         self.summands = summands
-        self.wall_time = wall_time
 
 
 def _symmetric_orbits(lattice, members):
@@ -170,7 +168,6 @@ def dedekind_standard(n):
         raise DomainError("pairwise summation needs at least 2 atoms")
     if n > 7:
         raise CapacityError("pairwise summation is capped at 7 atoms")
-    t0 = time.perf_counter()
     lattice = boolean(n - 2).lattice
     below, above = containment_counts(lattice)
     found = sorted(_symmetric_orbits(lattice, below), key=len, reverse=True)
@@ -182,7 +179,7 @@ def dedekind_standard(n):
         later = sum([below[rep & e] * above[rep | e] for e in ordered[end:]])
         value += len(orbit) * (own + 2 * later)
     k = len(below)
-    return StandardRun(n=n, value=value, summands=k * (k + 1) // 2, wall_time=time.perf_counter() - t0)
+    return StandardRun(value=value, summands=k * (k + 1) // 2)
 
 
 def theorem2_residual_shape(n, n_mask):

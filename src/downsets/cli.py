@@ -166,11 +166,17 @@ def _route(method, n):
 
         return methods.bmm5_iso(isoclasses.representation_system(sub_poset(boolean(5), "middle"))[1])
 
+    def iso6():
+        from . import isoclasses
+
+        split = methods.build_qsplit()
+        return methods.bmm6_iso(split, isoclasses.representation_system(split.q23)[1])
+
     routes = {
         ("nu", 5): methods.bmm5_nu,
         ("gamma", 5): methods.bmm5_gamma,
         ("iso", 5): iso5,
-        ("iso", 6): lambda: methods.bmm6_iso(methods.build_qsplit()),
+        ("iso", 6): iso6,
         ("mu", 6): methods.bmm6_mu,
         ("lemma2", 6): lambda: methods.bmm6_lemma2_reference(methods.build_qsplit()),
     }

@@ -21,7 +21,6 @@ Five independent routes to the same two constants (6212 down-sets of the
 """
 
 import functools
-import time
 from dataclasses import dataclass, field
 
 from .boolean import boolean, sub_poset
@@ -40,7 +39,6 @@ class MethodReport:
     value: int
     table: object
     evaluations: int
-    wall_time: float
 
 
 # -- the four-block split of the 6-atom middle region -----------------------
@@ -144,14 +142,13 @@ def bmm5_nu():
     Returns the tally vector nu over residual sizes; the count is
     sum nu_i * 2^i.  The 1024 subsets are tallied as 34 orbits under the
     coordinate automorphisms, each weighted by its size."""
-    t0 = time.perf_counter()
     mid = sub_poset(boolean(5), "middle")
     lowers = mid.minimal_points()
     nu = [0] * (_popcount(lowers) + 1)
     for _, mask, weight in decompose(mid, mid.carrier & ~lowers, coordinate_automorphisms(mid)):
         nu[_popcount(mask)] += weight
     value = sum(nu[i] << i for i in range(len(nu)))
-    return MethodReport(value=value, table=nu, evaluations=sum(nu), wall_time=time.perf_counter() - t0)
+    return MethodReport(value=value, table=nu, evaluations=sum(nu))
 
 
 def _gamma_pivot():
@@ -190,7 +187,6 @@ def bmm5_gamma():
     sum_j C(4,j) sum_{c,a} gamma_j(c,a) * 3^c * 2^a."""
     import math
 
-    t0 = time.perf_counter()
     mid, m2, m3 = _gamma_pivot()
     m_mask = m2 | m3
     bits2 = list(_bits(m2))
@@ -208,7 +204,7 @@ def bmm5_gamma():
         value += weight * sum(math.comb(4, j) * counts[j] for j in range(5))
     columns = sorted(grid)
     table = {"columns": columns, "rows": [[grid[col][j] for col in columns] for j in range(5)]}
-    return MethodReport(value=value, table=table, evaluations=evaluations, wall_time=time.perf_counter() - t0)
+    return MethodReport(value=value, table=table, evaluations=evaluations)
 
 
 def gamma_residual_multiset(n2_mask):
@@ -221,12 +217,8 @@ def gamma_residual_multiset(n2_mask):
 
 def bmm5_iso(records):
     'count from the class catalogue: sum of iota * 2^delta over the 34 classes; the table is the records'
-    t0 = time.perf_counter()
     value = sum(rec.iota << rec.delta for rec in records)
-    return MethodReport(
-        value=value, table=records,
-        evaluations=len(records), wall_time=time.perf_counter() - t0,
-    )
+    return MethodReport(value=value, table=records, evaluations=len(records))
 
 
 # -- the 6-atom middle region ------------------------------------------------
@@ -315,10 +307,9 @@ def bmm6_mu():
     bit count of (lower size == i) & (upper size == j).  It runs in 16
     slices, one per subset of the top 4 level-3 points, each over 2^16-bit
     ints, and adds the slices' tables."""
-    t0 = time.perf_counter()
     table = _mu_sweep(sub_poset(boolean(6), "middle"), _MU_FIXED)
     value = sum(table[i][j] << (i + j) for i in range(16) for j in range(16))
-    return MethodReport(value=value, table=table, evaluations=1 << 20, wall_time=time.perf_counter() - t0)
+    return MethodReport(value=value, table=table, evaluations=1 << 20)
 
 
 def sigma_reference(split, n_local, members):
@@ -336,22 +327,20 @@ def bmm6_lemma2_reference(split):
     transforms over one set of contained pairs give sigma, from the weights
     2^e, and the number of inner terms (contained pairs), from ones, which
     is the evaluation counter."""
-    t0 = time.perf_counter()
     members, index = _containment_pairs(split.q23)
     e_vec, t_vec = fringe_counts(split, members)
     sigma = _zeta(index, [1 << e for e in e_vec])
     pairs = sum(_zeta(index, [1] * len(members)))
     value = sum(s << t for s, t in zip(sigma, t_vec))
-    return MethodReport(
-        value=value, table={"inner_terms": pairs},
-        evaluations=pairs, wall_time=time.perf_counter() - t0,
-    )
+    return MethodReport(value=value, table={"inner_terms": pairs}, evaluations=pairs)
 
 
 def classify_inner_type(split, d_local):
     """Type code of the isolated-free core of a down-set of the bottom
     block, when it matters for the fringe count: "other" when the down-set
     has no upper points or its e-value is zero."""
+    if not split.q23.is_downset(d_local):
+        raise NotADownSet("the set is not a down-set of the bottom block")
     uppers = d_local & ~split.q23.minimal_points()
     if not uppers or e_of(split, split.q23.to_parent_mask(d_local)) == 0:
         return "other"
@@ -480,22 +469,18 @@ def table7(split, records):
     ]
 
 
-def bmm6_iso(split, records=None):
-    """Class-collapsed summation: sum over the catalogue of
+def bmm6_iso(split, records):
+    """Class-collapsed summation: sum over the catalogue records of
+    split.q23, as representation_system returns them, of
     iota(R) * 2^t(R) * sum_{A subset of the free lowers} sigma(A + R).
     Upper-free terms come straight out of the subset-sum table; the
     evaluation counter counts closed-form sigma calls on upper-bearing
     down-sets only.  The table is the table7 rows."""
-    t0 = time.perf_counter()
-    if records is None:
-        from .isoclasses import representation_system
-
-        _, records = representation_system(split.q23)
     rows = table7(split, records)
     value = sum(row["iota"] * (row["inner_sum"] << row["t"]) for row in rows)
     # a nonempty core has upper points
     evaluations = sum(1 << rec.delta for rec in records if rec.representative)
-    return MethodReport(value=value, table=rows, evaluations=evaluations, wall_time=time.perf_counter() - t0)
+    return MethodReport(value=value, table=rows, evaluations=evaluations)
 
 
 # -- small checks and suppliers ----------------------------------------------

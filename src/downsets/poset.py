@@ -312,7 +312,7 @@ def chain(c):
     'total order 0 < 1 < ... < c-1'
     if c < 0:
         raise DomainError("negative chain length %d" % c)
-    return from_covers(c, [(i, i + 1) for i in range(c - 1)])
+    return from_covers(c, ((i, i + 1) for i in range(c - 1)))  # lazy, so an over-cap c is refused first
 
 
 def antichain(a):

@@ -76,44 +76,54 @@ def test_c02_standard_summation():
 
 
 def test_c02_standard_stretch():
+    t0 = time.perf_counter()
     run7 = dedekind_standard(7)
+    elapsed = time.perf_counter() - t0
     assert run7.value == B7
     assert run7.summands == 28739571
-    assert run7.wall_time < 600.0, run7.wall_time
+    assert elapsed < 600.0, elapsed
 
 
 def test_c03_nu_method():
+    t0 = time.perf_counter()
     rep = bmm5_nu()
+    elapsed = time.perf_counter() - t0
     assert tuple(rep.table) == NU_ROW
     assert sum(rep.table) == 1024
     assert rep.value == BMM5
-    assert rep.wall_time < 1.0, rep.wall_time
+    assert elapsed < 1.0, elapsed
 
 
 def test_c04_gamma_method():
+    t0 = time.perf_counter()
     rep = bmm5_gamma()
+    elapsed = time.perf_counter() - t0
     assert tuple(rep.table["columns"]) == GAMMA_COLUMNS
     assert tuple(tuple(row) for row in rep.table["rows"]) == GAMMA_ROWS
     assert all(sum(row) == 16 for row in rep.table["rows"])
     assert rep.evaluations == 80
     assert rep.value == BMM5
-    assert rep.wall_time < 1.0, rep.wall_time
+    assert elapsed < 1.0, elapsed
 
 
 def test_c05_mu_method():
+    t0 = time.perf_counter()
     rep = bmm6_mu()
+    elapsed = time.perf_counter() - t0
     grid = rep.table
     assert tuple(tuple(row) for row in grid) == MU_GRID
     assert sum(sum(row) for row in grid) == 1048576
     assert all(grid[i][j] == grid[j][i] for i in range(16) for j in range(16))
     assert rep.value == BMM6
-    assert rep.wall_time < 60.0, rep.wall_time
+    assert elapsed < 60.0, elapsed
 
 
 def test_c06_reference_summation(split):
+    t0 = time.perf_counter()
     rep = bmm6_lemma2_reference(split)
+    elapsed = time.perf_counter() - t0
     assert rep.value == BMM6
-    assert rep.wall_time < 600.0, rep.wall_time
+    assert elapsed < 600.0, elapsed
 
 
 def test_c07_class_collapsed_method(split):

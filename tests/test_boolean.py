@@ -32,8 +32,25 @@ def test_boolean_bounds():
     assert boolean(0).lattice.n == 1
     with pytest.raises(DomainError):
         boolean(-1)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError) as info:
         boolean(8)
+    assert str(info.value) == "lattice on 8 atoms has 256 points, cap is 128"
+
+
+def test_boolean_refuses_an_over_cap_size_before_it_allocates():
+    'n is compared with the cap, so 2^n is never built, and only written out while it is short'
+    import tracemalloc
+
+    for build in (boolean, lambda n: theorem2_residual_shape(n, 0)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError) as info:
+                build(10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == "lattice on 100000000 atoms has 2^100000000 points, cap is 128"
+        assert peak < 1 << 20
 
 
 def test_level_mask_collects_levels():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from downsets import (
+    CapacityError,
     DomainError,
     NotADownSet,
     StructureError,
@@ -394,6 +395,14 @@ def test_precomp_rejects_non_downsets(split):
         build_sigma_precomp(split, lone_upper)
 
 
+def test_inner_type_rejects_non_downsets(split):
+    'a lone upper point is not a down-set, though its closure has the code 1-300'
+    lone_upper = split.q23.maximal_points() & -split.q23.maximal_points()
+    assert classify_inner_type(split, split.q23.down_closure(lone_upper)) == "1-300"
+    with pytest.raises(NotADownSet):
+        classify_inner_type(split, lone_upper)
+
+
 def test_sigma_fast_matches_defining_sum(split, catalogue, q23_members):
     _, records = catalogue
     rng = random.Random(99)
@@ -470,6 +479,20 @@ def test_residual_law_on_the_diamond():
         lemma1_check(2, q, 0b1000)
     with pytest.raises(DomainError):
         lemma1_check(0, q, 0b0001)
+
+
+def test_residual_law_refuses_a_long_chain_before_it_allocates():
+    import tracemalloc
+
+    q = from_covers(2, [(0, 1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            lemma1_check(2_000_000, q, 0b01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_residual_law_on_random_posets():

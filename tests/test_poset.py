@@ -207,6 +207,21 @@ def test_negative_chain_and_antichain_sizes():
         antichain(-2)
 
 
+def test_chain_refuses_an_over_cap_length_before_it_allocates():
+    'the cover pairs come lazily, so the point cap is checked before any is built'
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as info:
+            chain(2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "point count 2000000 outside 0..128"
+    assert peak < 1 << 20
+
+
 def test_dual_swaps_directions():
     p = chain(3).dual()
     assert p.leq(2, 0)
