@@ -27,7 +27,7 @@ import sys
 from .boolean import boolean, dedekind_standard, dedekind_via_theorem2, sub_poset
 from .engine import count_downsets, count_via_decomposition, decompose, enumerate_downsets
 from .errors import CapacityError, DomainError, ParseError
-from .poset import _popcount, _subsets, chain, poset_from_text, from_covers, product
+from .poset import _point_index, _popcount, _subsets, chain, poset_from_text, from_covers, product
 
 
 B_SMALL = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7581, 6: 7828354}
@@ -96,12 +96,8 @@ def _dot_digraph(p):
 def _parse_pivot(p, text):
     mask = 0
     for tok in text.replace(",", " ").split():
-        try:
-            # ASCII digits only, as in the file format: int() alone takes '+3', '1_0' and '\u0663'
-            if not (tok.isascii() and tok.isdigit()):
-                raise ValueError
-            i = int(tok)
-        except ValueError:
+        i = _point_index(tok)
+        if i is None:
             raise ParseError("pivot index %r is not an integer" % tok)
         if not 0 <= i < p.n:
             raise ParseError("pivot index %d out of range 0..%d" % (i, p.n - 1))

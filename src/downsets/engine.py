@@ -66,7 +66,7 @@ containing each one.
 """
 
 from .errors import CapacityError, DomainError, NotADownSet, StructureError
-from .poset import _bits, _by_bytes, _byte_tables, _flood, _popcount, _relabel
+from .poset import MAX_POINTS, _bits, _by_bytes, _byte_tables, _flood, _popcount, _relabel
 
 # most memo entries, listed down-sets or decomposition terms one call may
 # hold: 1.5 times the 1408348 memo entries middle(7) leaves, the most of any
@@ -236,10 +236,13 @@ def chain_product_count(n, q):
     q, so the count is the n-th containment-power of D(q): start from all-ones
     over the k down-sets _containment_pairs lists and apply the zeta
     transform n - 1 times, every pass over the one set of pairs it finds.
-    Python ints keep the sums, which reach k**n, exact.
+    Python ints keep the sums, which reach k**n, exact.  The chain is
+    capped at MAX_POINTS, as chain(n) is, before any down-set is listed.
     """
     if n < 0:
         raise DomainError("negative chain length %d" % n)
+    if n > MAX_POINTS:
+        raise CapacityError("chain has %d points, cap is %d" % (n, MAX_POINTS))
     if n == 0:
         return 1
     members, pairs = _containment_pairs(q)

@@ -58,7 +58,8 @@ class QSplit:
     digit 1, levels 3..4) is m23 << 32, and for x in the bottom and y in
     the top block, x < y iff x | 32 <= y.  q23 is the bottom block as a
     poset, its parent indices being words.
-    A split compares and hashes by identity, so it can key a cache.
+    A split compares and hashes by identity (eq=False): the field-wise
+    hash a frozen dataclass would generate fails on the dict fields.
     It holds the closed-form sigma's class-independent data, which only the
     iso route reads, so each is built on first read: upper_fringe and t1,
     the subset-sum table over the subsets Y of the 10 bottom-level points,

@@ -71,15 +71,6 @@ def _by_bytes(mask, tables):
     return out
 
 
-def _down_rows(up):
-    'down rows of the relation whose up rows are given'
-    down = [0] * len(up)
-    for i, row in enumerate(up):
-        for j in _bits(row):
-            down[j] |= 1 << i
-    return tuple(down)
-
-
 def _flood(comparable, rest):
     """Connected components of the point set rest under the comparability
     rows, as masks ascending by lowest point; rest is not checked."""
@@ -109,7 +100,9 @@ class Poset:
     up[i] is the mask of all j with i <= j (including i itself); down[i] the
     dual; comparable[i] is up[i] | down[i]. labels is an optional tuple of
     one string per point. parent_map, when present, maps each local index
-    back to the index of the poset this one was induced from.
+    back to the index of the poset this one was induced from.  Every Poset,
+    sub-posets and duals included, is built here and checked to be a
+    partial order on at most MAX_POINTS points.
     """
 
     __slots__ = ("n", "up", "down", "comparable", "labels", "parent_map")
@@ -126,32 +119,23 @@ class Poset:
                 raise ValueError("relation not reflexive at %d" % i)
             if row & ~full:
                 raise ValueError("relation row %d has bits outside the carrier" % i)
-        down = _down_rows(up)
+        down = [0] * n
+        for i, row in enumerate(up):
+            for j in _bits(row):
+                down[j] |= 1 << i
+        down = tuple(down)
         for i in range(n):
             if up[i] & down[i] != 1 << i:
                 raise ValueError("relation not antisymmetric at %d" % i)
             for j in _bits(up[i]):
                 if up[j] & ~up[i]:
                     raise ValueError("relation not transitive at %d <= %d" % (i, j))
-        self._fill(up, down, labels, parent_map)
-
-    @classmethod
-    def _from_valid_rows(cls, up_rows, labels=None, parent_map=None):
-        """Poset on up rows already known to form a partial order, such as
-        the rows of a sub-poset or dual of a Poset; only the down rows are
-        derived, nothing is checked."""
-        self = object.__new__(cls)
-        up = tuple(up_rows)
-        self._fill(up, _down_rows(up), labels, parent_map)
-        return self
-
-    def _fill(self, up, down, labels, parent_map):
         labels = tuple(labels) if labels is not None else None
         parent_map = tuple(parent_map) if parent_map is not None else None
         for name, seq in (("labels", labels), ("parent_map", parent_map)):
-            if seq is not None and len(seq) != len(up):
-                raise ValueError("%s has %d entries for %d points" % (name, len(seq), len(up)))
-        object.__setattr__(self, "n", len(up))
+            if seq is not None and len(seq) != n:
+                raise ValueError("%s has %d entries for %d points" % (name, len(seq), n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "up", up)
         object.__setattr__(self, "down", down)
         object.__setattr__(self, "comparable", tuple(u | d for u, d in zip(up, down)))
@@ -255,14 +239,12 @@ class Poset:
         points = list(_bits(mask))
         pos = {p: k for k, p in enumerate(points)}
         rows = [_relabel(self.up[p] & mask, pos) for p in points]
-        labels = None
-        if self.labels is not None:
-            labels = tuple(self.labels[p] for p in points)
-        return Poset._from_valid_rows(rows, labels=labels, parent_map=points)
+        labels = None if self.labels is None else [self.labels[p] for p in points]
+        return Poset(rows, labels=labels, parent_map=points)
 
     def dual(self):
         'same carrier with the relation reversed'
-        return Poset._from_valid_rows(self.down, labels=self.labels)
+        return Poset(self.down, labels=self.labels)
 
     def to_parent_mask(self, mask):
         'translate a local point set into the indexing of the parent poset'
@@ -363,14 +345,24 @@ def direct_sum(p, q):
 # '#' starts a comment, blank lines are skipped.
 
 
-def _indices(tokens, lineno, kind):
-    'point indices written in ASCII digits, else a ParseError for the line'
-    if all(tok.isascii() and tok.isdigit() for tok in tokens):
+def _point_index(tok):
+    """The point index a token writes in ASCII digits, else None.  int()
+    alone would also read '+3', '1_0' and non-ASCII digits, and it raises
+    past its digit limit.  The file format and count --pivot read here."""
+    if tok.isascii() and tok.isdigit():
         try:
-            return [int(tok) for tok in tokens]
+            return int(tok)
         except ValueError:  # more digits than int() accepts
             pass
-    raise ParseError("line %d: malformed %s line" % (lineno, kind))
+    return None
+
+
+def _indices(tokens, lineno, kind):
+    'point indices of a file line, else a ParseError for the line'
+    out = [_point_index(tok) for tok in tokens]
+    if None in out:
+        raise ParseError("line %d: malformed %s line" % (lineno, kind))
+    return out
 
 
 def poset_from_text(text):

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import downsets
-from downsets import StructureError, boolean, poset_to_text, sub_poset
+from downsets import ParseError, StructureError, boolean, poset_from_text, poset_to_text, sub_poset
 from downsets import cli, engine
 from downsets.poset import _popcount
 from conftest import random_poset
@@ -144,9 +144,14 @@ def test_count_bad_pivot(diamond_file, capsys):
     assert "out of range" in err
 
 
-@pytest.mark.parametrize("token", ["1_0", "+3", "-0", "\u0663", "3.0"])
+@pytest.mark.parametrize("token", ["1_0", "+3", "-0", "\u0663", "3.0", pytest.param("1" * 4301, id="4301-digits")])
 def test_count_pivot_takes_ascii_digits_only(middle5_file, capsys, token):
-    'as in the file format: int() alone would read the first four as 10, 3, 0 and 3'
+    """the file format and --pivot read an index by one rule, each with its own
+    message: int() alone would read the first four as 10, 3, 0 and 3, and
+    raises past its 4300-digit limit"""
+    with pytest.raises(ParseError) as info:
+        poset_from_text("poset v1\npoints %s\n" % token)
+    assert str(info.value) == "line 2: malformed points line"
     code, out, err = run(["count", middle5_file, "--pivot=" + token], capsys)
     assert (code, out) == (2, "")
     assert err == "parse error: pivot index %r is not an integer\n" % token

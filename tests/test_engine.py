@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -32,7 +33,7 @@ from downsets import (
 from downsets.boolean import _symmetric_orbits
 from downsets import cli, engine, poset_to_text
 from downsets.engine import _pivot, containment_sums, coordinate_automorphisms, orbits
-from downsets.poset import _by_bytes, _byte_tables, _or_table, _relabel
+from downsets.poset import MAX_POINTS, _by_bytes, _byte_tables, _or_table, _relabel
 from conftest import random_poset, random_submask
 from frozen import B7
 
@@ -444,6 +445,21 @@ def test_chain_product_count_against_direct():
         for n in range(4):
             direct = count_downsets(product(chain(n), q)) if n else 1
             assert chain_product_count(n, q) == direct
+
+
+def test_chain_product_count_refuses_an_over_cap_chain_before_listing(monkeypatch):
+    'as chain(n) does: 10**9 zeta passes would run for days'
+    listed = []
+    original = engine.enumerate_downsets
+    monkeypatch.setattr(engine, "enumerate_downsets", lambda p: listed.append(p) or original(p))
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="chain has 1000000000 points, cap is 128"):
+        chain_product_count(10**9, antichain(10))
+    assert time.perf_counter() - start < 1
+    with pytest.raises(CapacityError):
+        chain_product_count(MAX_POINTS + 1, antichain(1))
+    assert listed == []
+    assert chain_product_count(MAX_POINTS, antichain(1)) == MAX_POINTS + 1
 
 
 def test_chain_product_count_facts():

@@ -88,8 +88,6 @@ def test_construction_needs_one_label_per_point(labels):
         Poset([1, 2, 4], labels=labels)
     with pytest.raises(ValueError, match="labels has"):
         from_covers(3, [(0, 1)], labels=labels)
-    with pytest.raises(ValueError, match="labels has"):
-        Poset._from_valid_rows([1, 2, 4], labels=labels)
     assert Poset([1, 2, 4], labels=("a", "b", "c")).induced(0b110).labels == ("b", "c")
 
 
@@ -97,7 +95,26 @@ def test_construction_needs_one_parent_index_per_point():
     with pytest.raises(ValueError, match="parent_map has 2 entries for 3 points"):
         Poset([1, 2, 4], parent_map=(0, 1))
     with pytest.raises(ValueError, match="parent_map has 4 entries for 3 points"):
-        Poset._from_valid_rows([1, 2, 4], parent_map=(0, 1, 2, 3))
+        Poset([1, 2, 4], parent_map=(0, 1, 2, 3))
+
+
+def test_induced_and_dual_build_through_the_checked_constructor(monkeypatch):
+    'a sub-poset or dual is checked where it is built, by one Poset.__init__ call'
+    p = from_covers(4, [(0, 1), (1, 2), (0, 3)], labels="abcd")
+    calls = []
+    original = Poset.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poset, "__init__", counted)
+    sub = p.induced(0b1011)
+    assert len(calls) == 1
+    assert (sub.covers(), sub.labels, sub.parent_map) == ([(0, 1), (0, 2)], ("a", "b", "d"), (0, 1, 3))
+    dual = p.dual()
+    assert len(calls) == 2
+    assert (dual.up, dual.labels) == (p.down, p.labels)
 
 
 def test_equal_posets_hash_equal():
