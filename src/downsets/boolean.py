@@ -14,6 +14,7 @@ Region selectors for sub_poset name the retained level range:
 """
 
 import math
+from collections import namedtuple
 
 from .engine import containment_counts, coordinate_automorphisms, orbits
 from .errors import CapacityError, DomainError, StructureError
@@ -22,14 +23,8 @@ from .poset import MAX_POINTS, Poset, _bits, _by_bytes, _byte_tables, _popcount,
 REGIONS = ("full", "upper", "lower", "middle")
 
 
-class BooleanContext:
-    'subset lattice of an n-set plus its level masks'
-    __slots__ = ("n", "lattice", "levels")
-
-    def __init__(self, n, lattice, levels):
-        self.n = n
-        self.lattice = lattice
-        self.levels = levels  # levels[l] = mask of points with l ones
+# subset lattice of an n-set plus its level masks; levels[l] = mask of points with l ones
+BooleanContext = namedtuple("BooleanContext", ("n", "lattice", "levels"))
 
 
 def boolean(n):
@@ -39,13 +34,8 @@ def boolean(n):
         points = "%d" % (1 << n) if n < 64 else "2^%d" % n
         raise CapacityError("lattice on %d atoms has %s points, cap is %d" % (n, points, MAX_POINTS))
     size = 1 << n
-    rows = []
-    for x in range(size):
-        row = 0
-        for y in range(size):
-            if y & x == x:
-                row |= 1 << y
-        rows.append(row)
+    # x's up row is x joined with each submask of its complement: 3^n steps in all
+    rows = [sum(1 << (x | s) for s in _subsets((size - 1) ^ x)) for x in range(size)]
     labels = tuple(format(x, "0%db" % n) if n else "" for x in range(size))
     levels = [0] * (n + 1)
     for x in range(size):
@@ -77,19 +67,13 @@ def sub_poset(ctx, which):
     raise DomainError("unknown region %r, expected one of %s" % (which, ", ".join(REGIONS)))
 
 
-class DedekindLadder:
+class DedekindLadder(namedtuple("DedekindLadder", ("n", "bmm", "bm", "b"))):
     """Down-set counts of the lattice and its trims, per atom count.
 
     bmm holds the supplied middle-region counts, bm the derived upper-region
     counts, b the full lattice counts.
     """
-    __slots__ = ("n", "bmm", "bm", "b")
-
-    def __init__(self, n, bmm, bm, b):
-        self.n = n
-        self.bmm = bmm
-        self.bm = bm
-        self.b = b
+    __slots__ = ()
 
     @property
     def value(self):
@@ -118,13 +102,8 @@ def dedekind_via_theorem2(n, bmm):
     return DedekindLadder(n=n, bmm={k: bmm[k] for k in sorted(bmm) if 3 <= k <= n}, bm=bm, b=b)
 
 
-class StandardRun:
-    'result of the pairwise intersection-union summation'
-    __slots__ = ("value", "summands")
-
-    def __init__(self, value, summands):
-        self.value = value
-        self.summands = summands
+# result of the pairwise intersection-union summation
+StandardRun = namedtuple("StandardRun", ("value", "summands"))
 
 
 def _symmetric_orbits(lattice, members):

@@ -213,24 +213,18 @@ def cmd_dedekind(args):
 
 def cmd_tables(args):
     table = _route(args.which, 5 if args.which in ("nu", "gamma") else 6).table
+    if args.format == "json":
+        return _json(table, indent=2 if args.which == "iso" else None)
     if args.which == "nu":
-        if args.format == "json":
-            return _json(table)
         return ",".join(str(x) for x in table) + "\n"
     if args.which == "gamma":
-        if args.format == "json":
-            return _json({"columns": [list(col) for col in table["columns"]], "rows": table["rows"]})
         head = "j," + ",".join("%d-%d" % col for col in table["columns"])
         lines = [head]
         for j, row in enumerate(table["rows"]):
             lines.append("%d," % j + ",".join(str(x) for x in row))
         return "\n".join(lines) + "\n"
     if args.which == "mu":
-        if args.format == "json":
-            return _json(table)
         return "\n".join(",".join(str(x) for x in row) for row in table) + "\n"
-    if args.format == "json":
-        return _json(table, indent=2)
     lines = ["code,iota,delta,t,sigma,downsets,inner"]
     for r in table:
         lines.append("%s,%d,%d,%d,%d,%d,%d" % (

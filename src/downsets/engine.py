@@ -66,7 +66,7 @@ containing each one.
 """
 
 from .errors import CapacityError, DomainError, NotADownSet, StructureError
-from .poset import MAX_POINTS, _bits, _by_bytes, _byte_tables, _flood, _popcount, _relabel
+from .poset import MAX_POINTS, _by_bytes, _byte_tables, _flood, _popcount, _relabel
 
 # most memo entries, listed down-sets or decomposition terms one call may
 # hold: 1.5 times the 1408348 memo entries middle(7) leaves, the most of any
@@ -169,11 +169,12 @@ def decompose(p, m_mask, perms=()):
     terms.  A residual R decomposes again over a pivot set inside R: each of
     those terms leaves mask & R of R, counted through the same memo.
 
-    perms, point permutations of p as coordinate_automorphisms returns them,
-    collapse the terms: one term per orbit of traces under the group they
-    generate, N the least trace of the orbit and weight its size, so a sum
-    of weight * f(term) equals the unreduced sum of f whenever f is invariant
-    under isomorphism of the residual, with one Poset.updown per orbit.
+    perms, point permutations of p as coordinate_automorphisms returns them
+    (any iterable, read once), collapse the terms: one term per orbit of
+    traces under the group they generate, N the least trace of the orbit
+    and weight its size, so a sum of weight * f(term) equals the unreduced
+    sum of f whenever f is invariant under isomorphism of the residual, with
+    one Poset.updown per orbit.
     DomainError when a permutation is not an automorphism of p or does not
     map M onto itself.
 
@@ -182,6 +183,7 @@ def decompose(p, m_mask, perms=()):
     passed to orbits, which holds them all at once.
     """
     p._check(m_mask)
+    perms = tuple(perms)
     for perm in perms:
         if not _is_automorphism(p, perm):
             raise DomainError("%r is not an automorphism of the poset" % (perm,))
@@ -222,10 +224,8 @@ def phi_inverse(p, m_mask, n_mask, d_residual):
         raise DomainError("residual down-set %#x is not within the carrier" % d_residual)
     if d_residual & removed:
         raise NotADownSet("residual down-set meets the removed region")
-    rest = p.carrier & ~removed
-    for i in _bits(d_residual):
-        if p.down[i] & rest & ~d_residual:
-            raise NotADownSet("not a down-set of the residual")
+    if p.down_closure(d_residual) & ~removed != d_residual:
+        raise NotADownSet("not a down-set of the residual")
     return d_residual | p.down_closure(n_mask)
 
 
@@ -348,6 +348,7 @@ def coordinate_automorphisms(p):
 def orbits(masks, perms):
     """Orbits of the group generated by perms on a set of point masks, each
     listed from its least member, in ascending order of that member.
+    perms may be any iterable; it is read once.
 
     Each permutation is applied through the byte tables of its rows
     1 << perm[i], built once per call: ceil(n / 8) lookups per image instead
@@ -357,8 +358,10 @@ def orbits(masks, perms):
     the set: its orbit would then not be a part of the set, and orbit sizes
     used as weights would be wrong.
     """
-    members = set(masks)
-    if members and perms and (min(members) < 0 or max(members) >> min(map(len, perms))):
+    members, perms = set(masks), tuple(perms)
+    if members and min(members) < 0:
+        raise DomainError("a member is negative")
+    if members and perms and max(members) >> min(map(len, perms)):
         raise DomainError("a member has a point outside the permutations")
     tables = [_byte_tables([1 << point for point in perm]) for perm in perms]
     # each orbit takes its members out of the set, so one set is kept, not

@@ -152,8 +152,9 @@ def bmm5_nu():
     return MethodReport(value=value, table=nu, evaluations=sum(nu))
 
 
+@functools.cache
 def _gamma_pivot():
-    'the 8-point antichain pivot: level-2 words with the first digit set, level-3 words without'
+    'the 8-point antichain pivot: level-2 words with the first digit set, level-3 words without; built once'
     mid = sub_poset(boolean(5), "middle")
     msb = 1 << 4
     m2 = m3 = 0
@@ -182,21 +183,17 @@ def _gamma_residual_class(mid, m_mask, n_mask):
 def bmm5_gamma():
     """Digit-split sweep: pivot on the 8-point antichain from _gamma_pivot.
     Residual classes depend on the level-2 part N2 only through its size, so
-    one representative N2 per size j is evaluated against all 16 level-3
-    parts: 80 residuals.  Cell (j, (c, a)) counts residuals that are c
-    2-chains plus a isolated points; the count is
-    sum_j C(4,j) sum_{c,a} gamma_j(c,a) * 3^c * 2^a."""
+    the route tallies gamma_residual_multiset(N2) for one representative N2
+    per size j, each over all 16 level-3 parts: 80 residuals.  Cell
+    (j, (c, a)) counts residuals that are c 2-chains plus a isolated points;
+    the count is sum_j C(4,j) sum_{c,a} gamma_j(c,a) * 3^c * 2^a."""
     import math
 
-    mid, m2, m3 = _gamma_pivot()
-    m_mask = m2 | m3
-    bits2 = list(_bits(m2))
+    bits2 = list(_bits(_gamma_pivot()[1]))
     grid = {}
     evaluations = 0
     for j in range(5):
-        n2 = sum(1 << b for b in bits2[:j])
-        for n3 in _subsets(m3):
-            c, a = _gamma_residual_class(mid, m_mask, n2 | n3)
+        for c, a in gamma_residual_multiset(sum(1 << b for b in bits2[:j])):
             evaluations += 1
             grid.setdefault((c, a), [0] * 5)[j] += 1
     value = 0

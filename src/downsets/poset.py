@@ -309,15 +309,8 @@ def product(p, q):
     n = p.n * q.n
     if n > MAX_POINTS:
         raise CapacityError("product has %d points, cap is %d" % (n, MAX_POINTS))
-    rows = []
-    for i in range(p.n):
-        for j in range(q.n):
-            row = 0
-            for i2 in _bits(p.up[i]):
-                base = i2 * q.n
-                for j2 in _bits(q.up[j]):
-                    row |= 1 << (base + j2)
-            rows.append(row)
+    # (i, j)'s up row is q's up row of j, shifted into the block of each i2 in up(i)
+    rows = [sum(q.up[j] << (i2 * q.n) for i2 in _bits(p.up[i])) for i in range(p.n) for j in range(q.n)]
     return Poset(rows)
 
 

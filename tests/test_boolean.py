@@ -37,6 +37,15 @@ def test_boolean_bounds():
     assert str(info.value) == "lattice on 8 atoms has 256 points, cap is 128"
 
 
+@pytest.mark.parametrize("n", range(8))
+def test_boolean_up_rows_are_containment(n):
+    'bit y of the up row of x is set exactly when x is a subset of y'
+    up = boolean(n).lattice.up
+    size = 1 << n
+    for x in range(size):
+        assert [(up[x] >> y) & 1 for y in range(size)] == [int(x & y == x) for y in range(size)]
+
+
 def test_boolean_refuses_an_over_cap_size_before_it_allocates():
     'n is compared with the cap, so 2^n is never built, and only written out while it is short'
     import tracemalloc

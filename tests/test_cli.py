@@ -442,6 +442,18 @@ def test_tables_mu_json(capsys):
     assert json.loads(out) == [list(row) for row in MU_GRID]
 
 
+@pytest.mark.parametrize("which", ["nu", "gamma", "mu"])
+def test_tables_json_bytes(which, capsys):
+    'one line with json.dumps defaults: ", " and ": " separators, no indent'
+    want = {
+        "nu": "%s" % list(NU_ROW),
+        "gamma": '{"columns": %s, "rows": %s}' % ([list(col) for col in GAMMA_COLUMNS],
+                                                   [list(row) for row in GAMMA_ROWS]),
+        "mu": "%s" % [list(row) for row in MU_GRID],
+    }[which]
+    assert run(["tables", which, "--format", "json"], capsys) == (0, want + "\n", "")
+
+
 def test_tables_iso_json(capsys):
     'one object per catalogue row, its keys in printed order'
     code, out, _ = run(["tables", "iso", "--format", "json"], capsys)

@@ -586,6 +586,26 @@ def test_orbits_reject_members_outside_the_permutations():
     assert list(orbits([0b10000], [])) == [[0b10000]]
 
 
+def test_orbits_reject_a_negative_member_with_no_permutations():
+    with pytest.raises(DomainError):
+        list(orbits({-1}, []))
+
+
+def test_orbits_read_a_one_shot_iterable_of_permutations_once():
+    'a one-shot iterator of permutations gives the orbits a list gives'
+    assert list(orbits({1, 2}, iter([(1, 0)]))) == [[1, 2]]
+
+
+def test_decompose_reads_a_one_shot_iterable_of_permutations_once():
+    'a one-shot iterator of permutations gives the 34 orbit terms a list gives'
+    mid = sub_poset(boolean(5), "middle")
+    uppers = mid.carrier & ~mid.minimal_points()
+    perms = coordinate_automorphisms(mid)
+    terms = list(decompose(mid, uppers, iter(perms)))
+    assert terms == list(decompose(mid, uppers, perms))
+    assert len(terms) == 34
+
+
 def brute_force_orbits(m, fam):
     """(least member, size) per orbit of all m! coordinate permutations and
     duality on the down-sets fam of B(m): every group element applied, one

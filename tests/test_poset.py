@@ -255,6 +255,21 @@ def test_product_and_direct_sum_shapes():
     assert not s.leq(0, 2)
 
 
+def test_product_order_is_componentwise_on_random_factors():
+    'every pair of product points against the factor orders, on factors that need not be chains'
+    rng = random.Random(20261022)
+    for _ in range(40):
+        p = random_poset(rng, 16)
+        q = random_poset(rng, 128 // max(p.n, 1))
+        prod = product(p, q)
+        assert prod.n == p.n * q.n <= 128
+        for a in range(prod.n):
+            i, j = divmod(a, q.n)
+            for b in range(prod.n):
+                i2, j2 = divmod(b, q.n)
+                assert prod.leq(a, b) == (p.leq(i, i2) and q.leq(j, j2))
+
+
 def test_product_and_direct_sum_respect_the_point_cap():
     with pytest.raises(CapacityError):
         product(chain(12), chain(11))
