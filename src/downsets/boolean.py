@@ -5,7 +5,8 @@ bitwise containment.  The designated first digit of a word is the most
 significant of the n bits, which makes the digit-based splits used by the
 counting methods cheap bit tests.
 
-Region selectors for sub_poset name the retained level range:
+Region selectors for sub_poset name the retained level range lo..n-hi,
+with (lo, hi) read from REGIONS:
 
     full    all levels
     upper   levels 2..n      (bottom and atoms dropped)
@@ -20,7 +21,7 @@ from .engine import containment_counts, coordinate_automorphisms, orbits
 from .errors import CapacityError, DomainError, StructureError
 from .poset import MAX_POINTS, Poset, _bits, _by_bytes, _byte_tables, _popcount, _subsets
 
-REGIONS = ("full", "upper", "lower", "middle")
+REGIONS = {"full": (0, 0), "upper": (2, 0), "lower": (0, 2), "middle": (2, 2)}
 
 
 # subset lattice of an n-set plus its level masks; levels[l] = mask of points with l ones
@@ -45,26 +46,18 @@ def boolean(n):
 
 def level_mask(ctx, lo, hi):
     'mask of all points with lo <= ones <= hi'
-    out = 0
-    for l in range(max(lo, 0), min(hi, ctx.n) + 1):
-        out |= ctx.levels[l]
-    return out
+    # the levels are disjoint, so their sum is their union; a stop below 0 would wrap round
+    return sum(ctx.levels[max(lo, 0):max(hi + 1, 0)])
 
 
 def sub_poset(ctx, which):
-    'induced poset on one of the REGIONS level ranges'
-    n = ctx.n
-    if which == "full":
-        return ctx.lattice
-    if which == "upper":
-        return ctx.lattice.induced(level_mask(ctx, 2, n))
-    if which == "lower":
-        return ctx.lattice.induced(level_mask(ctx, 0, n - 2))
-    if which == "middle":
-        if n < 3:
-            raise DomainError("middle region needs at least 3 atoms, got %d" % n)
-        return ctx.lattice.induced(level_mask(ctx, 2, n - 2))
-    raise DomainError("unknown region %r, expected one of %s" % (which, ", ".join(REGIONS)))
+    'induced poset on one of the REGIONS level ranges; full is the lattice itself'
+    if which not in REGIONS:
+        raise DomainError("unknown region %r, expected one of %s" % (which, ", ".join(REGIONS)))
+    if which == "middle" and ctx.n < 3:
+        raise DomainError("middle region needs at least 3 atoms, got %d" % ctx.n)
+    lo, hi = REGIONS[which]
+    return ctx.lattice if which == "full" else ctx.lattice.induced(level_mask(ctx, lo, ctx.n - hi))
 
 
 class DedekindLadder(namedtuple("DedekindLadder", ("n", "bmm", "bm", "b"))):

@@ -67,7 +67,7 @@ def _build_parser():
     v.add_argument("--jobs", **jobs)  # verify prints text only, so it takes no --format
     v.add_argument("--strict", action="store_true",
                    help="additionally sample non-representative class members")
-    return parser
+    return parser, c
 
 
 def _json(value, **kwargs):
@@ -225,11 +225,8 @@ def cmd_tables(args):
         return "\n".join(lines) + "\n"
     if args.which == "mu":
         return "\n".join(",".join(str(x) for x in row) for row in table) + "\n"
-    lines = ["code,iota,delta,t,sigma,downsets,inner"]
-    for r in table:
-        lines.append("%s,%d,%d,%d,%d,%d,%d" % (
-            r["code"], r["iota"], r["delta"], r["t"],
-            r["sigma"], r["downsets_below"], r["inner_sum"]))
+    # table7 puts each row's cells in printed order
+    lines = ["code,iota,delta,t,sigma,downsets,inner"] + [",".join(map(str, row.values())) for row in table]
     return "\n".join(lines) + "\n"
 
 
@@ -423,8 +420,10 @@ def cmd_verify(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
+    parser, count_parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "count" and args.dot and args.format != "text":
+        count_parser.error("argument --format: not allowed with argument --dot")
     try:
         if args.command == "count":
             out = cmd_count(args)

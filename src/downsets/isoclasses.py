@@ -22,7 +22,7 @@ orbit that shares its profile with another orbit decides which orbits merge.
 
 from dataclasses import dataclass
 
-from .engine import coordinate_automorphisms, orbits
+from .engine import BUDGET, coordinate_automorphisms, orbits
 from .errors import CapacityError, StructureError
 from .poset import _bits, _or_table, _popcount, _relabel
 
@@ -218,13 +218,18 @@ def representation_system(q23):
     points and the pair determines the class.
 
     A core is the down-closure of its upper points, so the cores are the
-    entries of one _or_table of the upper points' down rows.  They are split
-    into orbits under coordinate_automorphisms(q23), or each core is its own
-    orbit without such automorphisms.  Orbits are grouped by the degree
-    profile of a member, and canonical forms merge the orbits of a group.
+    entries of one _or_table of the upper points' down rows: 2^u entries for
+    u upper points, refused with CapacityError past engine.BUDGET before the
+    table is built.  They are split into orbits under
+    coordinate_automorphisms(q23), or each core is its own orbit without
+    such automorphisms.  Orbits are grouped by the degree profile of a
+    member, and canonical forms merge the orbits of a group.
     """
     lows = q23.minimal_points()
-    cores = set(_or_table([q23.down[u] for u in _bits(q23.carrier & ~lows)]))
+    uppers = list(_bits(q23.carrier & ~lows))
+    if 1 << len(uppers) > BUDGET:
+        raise CapacityError("core table of 2^%d entries exceeds the budget of %d" % (len(uppers), BUDGET))
+    cores = set(_or_table([q23.down[u] for u in uppers]))
     by_profile = {}
     for orbit in orbits(cores, coordinate_automorphisms(q23)):
         core = orbit[0]

@@ -21,6 +21,7 @@ Five independent routes to the same two constants (6212 down-sets of the
 """
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .boolean import boolean, sub_poset
@@ -33,12 +34,8 @@ from .poset import (
 )
 
 
-@dataclass
-class MethodReport:
-    'outcome of one counting method'
-    value: int
-    table: object
-    evaluations: int
+# outcome of one counting method
+MethodReport = namedtuple("MethodReport", ("value", "table", "evaluations"))
 
 
 # -- the four-block split of the 6-atom middle region -----------------------
@@ -191,18 +188,13 @@ def bmm5_gamma():
 
     bits2 = list(_bits(_gamma_pivot()[1]))
     grid = {}
-    evaluations = 0
     for j in range(5):
         for c, a in gamma_residual_multiset(sum(1 << b for b in bits2[:j])):
-            evaluations += 1
             grid.setdefault((c, a), [0] * 5)[j] += 1
-    value = 0
-    for (c, a), counts in grid.items():
-        weight = 3**c * 2**a
-        value += weight * sum(math.comb(4, j) * counts[j] for j in range(5))
+    value = sum(math.comb(4, j) * n * 3**c * 2**a for (c, a), row in grid.items() for j, n in enumerate(row))
     columns = sorted(grid)
     table = {"columns": columns, "rows": [[grid[col][j] for col in columns] for j in range(5)]}
-    return MethodReport(value=value, table=table, evaluations=evaluations)
+    return MethodReport(value=value, table=table, evaluations=sum(map(sum, grid.values())))
 
 
 def gamma_residual_multiset(n2_mask):
@@ -350,24 +342,20 @@ def classify_inner_type(split, d_local):
 # -- closed-form sigma -------------------------------------------------------
 
 
-@dataclass
-class SigmaPrecomp:
+class SigmaPrecomp(namedtuple("SigmaPrecomp", ("uppers", "covered", "free", "down_count", "pair_g", "n34"))):
     """Per-class structural data for the closed-form sigma.
 
-    pair_g lists, per qualifying upper pair of the core, the single outside
-    lower point compatible with the pair's free digit.  n34 counts
+    uppers are the upper points of the core, covered its lower points and
+    free the other lower points; down_count counts the down-sets below the
+    core.  pair_g lists, per qualifying upper pair of the core, the single
+    outside lower point compatible with the pair's free digit.  n34 counts
     qualifying upper triples and quadruples, each contributing one.  The
     qualifying sets, and the per-upper groups that sigma_fast reads, are the
     split's upper_fringe, read off the binary words by _upper_fringe;
     build_sigma_precomp checks only that the core is an isolated-free
     down-set.
     """
-    uppers: tuple
-    covered: int      # lower points of the core
-    free: int         # the other lower points
-    down_count: int
-    pair_g: tuple
-    n34: int
+    __slots__ = ()
 
 
 def _upper_fringe(q23):

@@ -376,6 +376,8 @@ def poset_from_text(text):
             continue
         parts = line.split()
         kind = parts[0]
+        if kind in ("label", "cover") and n is None:
+            raise ParseError("line %d: %s before points" % (lineno, kind))
         if kind == "points":
             if n is not None:
                 raise ParseError("line %d: duplicate points line" % lineno)
@@ -383,8 +385,6 @@ def poset_from_text(text):
                 raise ParseError("line %d: malformed points line" % lineno)
             (n,) = _indices(parts[1:], lineno, kind)
         elif kind == "label":
-            if n is None:
-                raise ParseError("line %d: label before points" % lineno)
             if len(parts) < 3:
                 raise ParseError("line %d: malformed label line" % lineno)
             (i,) = _indices(parts[1:2], lineno, kind)
@@ -394,8 +394,6 @@ def poset_from_text(text):
                 raise ParseError("line %d: duplicate label for point %d" % (lineno, i))
             labels[i] = line.split(None, 2)[2]
         elif kind == "cover":
-            if n is None:
-                raise ParseError("line %d: cover before points" % lineno)
             if len(parts) != 3:
                 raise ParseError("line %d: malformed cover line" % lineno)
             i, j = _indices(parts[1:], lineno, kind)

@@ -169,3 +169,37 @@ def test_binomial_convolution_matches_direct_counts():
         if n >= 2:
             lower = count_downsets(sub_poset(boolean(n), "lower"))
             assert ladder.bm[n] == lower
+
+
+def _words_in(n, lo, hi):
+    'mask of the n-digit words with lo <= ones <= hi, by a popcount filter'
+    return sum(1 << w for w in range(1 << n) if lo <= bin(w).count("1") <= hi)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_level_mask_clamps_every_range(n):
+    'lo < 0, hi > n, lo > hi and hi <= -2, where an unclamped slice stop would wrap round to the top levels'
+    ctx = boolean(n)
+    for lo in range(-3, n + 4):
+        for hi in range(-3, n + 4):
+            assert level_mask(ctx, lo, hi) == _words_in(n, lo, hi), (lo, hi)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_region_point_counts(n):
+    'each region keeps the words with lo..n-hi ones; middle needs 3 atoms'
+    ctx = boolean(n)
+    ranges = {"full": (0, n), "upper": (2, n), "lower": (0, n - 2), "middle": (2, n - 2)}
+    for which, (lo, hi) in ranges.items():
+        if which == "middle" and n < 3:
+            with pytest.raises(DomainError, match="^middle region needs at least 3 atoms, got %d$" % n):
+                sub_poset(ctx, which)
+            continue
+        assert sub_poset(ctx, which).n == bin(_words_in(n, lo, hi)).count("1"), which
+    assert sub_poset(ctx, "full") is ctx.lattice
+
+
+def test_unknown_region_message():
+    with pytest.raises(DomainError) as info:
+        sub_poset(boolean(4), "sideways")
+    assert str(info.value) == "unknown region 'sideways', expected one of full, upper, lower, middle"

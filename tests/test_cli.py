@@ -756,3 +756,20 @@ def test_boolean_stays_the_function_whatever_loads_first(first):
         "print(type(downsets.boolean(3)).__name__)\n" % first
     )
     assert child_lines(script) == ["BooleanContext"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_count_dot_and_a_format_are_a_usage_error(diamond_file, capsys, fmt):
+    'the DOT view has one format, so a csv or json request is refused rather than ignored'
+    with pytest.raises(SystemExit) as info:
+        cli.main(["count", diamond_file, "--dot", "--format", fmt])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "downsets count: error: argument --format: not allowed with argument --dot"
+
+
+def test_count_dot_takes_the_text_format(diamond_file, capsys):
+    'text is the default format, so naming it with --dot prints the same graph'
+    plain = run(["count", diamond_file, "--dot"], capsys)
+    assert plain[0] == 0
+    assert run(["count", diamond_file, "--dot", "--format", "text"], capsys) == plain

@@ -354,3 +354,19 @@ def test_only_the_suffixed_pairs_share_a_degree_profile(split, which):
         by_profile.setdefault(profiles.pop(), []).append(rec.type_code)
     shared = sorted(codes for codes in by_profile.values() if len(codes) > 1)
     assert shared == [["4-440-0", "4-440-1"], ["6-442-0", "6-442-1"]]
+
+
+def test_representation_system_refuses_a_core_table_past_the_budget():
+    'chain(23) has 22 upper points, so 2^22 core-table entries: refused before the table is built'
+    import tracemalloc
+
+    p = chain(23)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as info:
+            representation_system(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "core table of 2^22 entries exceeds the budget of 2097152"
+    assert peak < 1 << 20
